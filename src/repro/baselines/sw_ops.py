@@ -17,7 +17,7 @@ from ..common.errors import OperatorError
 from ..common.records import Schema
 from ..operators.aggregate import Accumulator, AggregateSpec, batch_accumulate
 from ..operators.crypto import AesCtr
-from ..operators.join import join_output_schema
+from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from ..operators.selection import Predicate
 from .hashmap import SoftwareHashMap
@@ -146,8 +146,8 @@ def software_join(rows: np.ndarray, schema: Schema,
     """Inner hash join on the client, as the LCPU query thread would.
 
     Byte-compatible with
-    :class:`~repro.operators.join.SmallTableJoinOperator`: the build hash
-    is keyed on the serialized key image, build keys must be unique, and
+    :class:`~repro.operators.join.SmallTableJoinOperator`: keys match on
+    their serialized byte image, build keys must be unique, and
     matched probe tuples are emitted in probe order with the payload
     columns appended under the same collision-renaming rule — so the
     hybrid planner can ship a join and still produce the offloaded bytes
@@ -162,39 +162,36 @@ def software_join(rows: np.ndarray, schema: Schema,
             f"{probe_col.kind}({probe_col.width}), build "
             f"{build_key!r} is {build_col.kind}({build_col.width})")
     key_schema = build_schema.project([build_key])
-    width = key_schema.row_width
-    bkeys = key_schema.empty(len(build_rows))
-    bkeys[build_key] = build_rows[build_key]
-    braw = key_schema.to_bytes(bkeys)
-    # The same resizable map the other software kernels use — it is the
-    # structure the cost model's hash/resize terms are calibrated to.
-    table = SoftwareHashMap()
-    for i in range(len(build_rows)):
-        key = braw[i * width:(i + 1) * width]
-        if not table.put(key, i):
-            raise OperatorError(
-                f"duplicate build key at row {i}: the small table must "
-                f"have unique join keys")
-    pkeys = key_schema.empty(len(rows))
-    pkeys[build_key] = rows[probe_key]
-    praw = key_schema.to_bytes(pkeys)
-    probe_idx: list[int] = []
-    build_idx: list[int] = []
-    for i in range(len(rows)):
-        j = table.get(praw[i * width:(i + 1) * width])
-        if j is not None:
-            probe_idx.append(i)
-            build_idx.append(j)
+    key_dtype = np.dtype((np.void, key_schema.row_width))
+
+    def key_images(table_rows: np.ndarray, column: str) -> np.ndarray:
+        keys = key_schema.empty(len(table_rows))
+        keys[build_key] = table_rows[column]
+        return np.frombuffer(key_schema.to_bytes(keys), dtype=key_dtype)
+
+    build_image = key_images(build_rows, build_key)
+    probe_image = key_images(rows, probe_key)
+    # Keys match by byte image (so -0.0 and +0.0 differ, as on chip):
+    # sort the build images, then binary-search every probe image.  The
+    # simulated cost is charged by the caller from row counts
+    # (``cpu.hash_ns``, grown past ``HASHMAP_GROWTH_THRESHOLD``), not
+    # from this kernel's work.
+    order = np.argsort(build_image, kind="stable")
+    ordered = build_image[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1]) + 1
+    if len(repeats):
+        raise OperatorError(
+            f"duplicate build key at row {int(order[repeats].min())}: the "
+            f"small table must have unique join keys")
+    pos = np.searchsorted(ordered, probe_image)
+    if len(ordered):
+        hit = ordered[np.minimum(pos, len(ordered) - 1)] == probe_image
+    else:
+        hit = np.zeros(len(probe_image), dtype=bool)
+    probe_idx = np.flatnonzero(hit)
     out_schema = join_output_schema(schema, build_schema, payload_columns)
-    out = out_schema.empty(len(probe_idx))
-    payload_names = list(out_schema.names[len(schema.names):])
-    pidx = np.asarray(probe_idx, dtype=np.int64)
-    bidx = np.asarray(build_idx, dtype=np.int64)
-    for name in schema.names:
-        out[name] = rows[name][pidx]
-    for out_name, src_name in zip(payload_names, payload_columns):
-        out[out_name] = build_rows[src_name][bidx]
-    return out
+    return gather_join_output(out_schema, rows, probe_idx, build_rows,
+                              order[pos[probe_idx]], payload_columns)
 
 
 def software_sort(rows: np.ndarray, keys: list[tuple[str, bool]]

@@ -21,14 +21,25 @@ _qp_ids = itertools.count(1)
 
 
 class ClientBuffer:
-    """Client-local memory region receiving one-sided RDMA writes."""
+    """Client-local memory region receiving one-sided RDMA writes.
+
+    ``capacity`` is the size of the posted region and bounds every deposit
+    and read.  The backing storage only grows to the highest byte
+    deposited so far, and bytes never written read as zeros, so an 8 MiB
+    region that receives a 4 KiB result costs 4 KiB of host memory.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise NetworkError(f"client buffer needs positive capacity: {capacity}")
         self.capacity = capacity
-        self._data = bytearray(capacity)
+        self._data = bytearray()
         self.bytes_received = 0
+
+    @property
+    def stored_bytes(self) -> int:
+        """Host bytes backing the buffer: up to the highest byte deposited."""
+        return len(self._data)
 
     def deposit(self, offset: int, chunk: bytes) -> None:
         """Land one packet's payload at ``offset`` (out-of-order friendly)."""
@@ -36,19 +47,25 @@ class ClientBuffer:
             raise NetworkError(
                 f"deposit [{offset}, +{len(chunk)}) overflows client buffer "
                 f"of {self.capacity} bytes")
-        self._data[offset:offset + len(chunk)] = chunk
+        data = self._data
+        if offset > len(data):
+            data.extend(bytes(offset - len(data)))
+        # A slice reaching past the end grows the storage to fit.
+        data[offset:offset + len(chunk)] = chunk
         self.bytes_received += len(chunk)
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         if length is None:
             length = self.capacity - offset
-        if offset < 0 or offset + length > self.capacity:
+        if offset < 0 or length < 0 or offset + length > self.capacity:
             raise NetworkError(
                 f"read [{offset}, +{length}) overflows client buffer")
-        return bytes(self._data[offset:offset + length])
+        with memoryview(self._data) as view:
+            out = bytes(view[offset:offset + length])
+        return out.ljust(length, b"\x00")
 
     def reset(self) -> None:
-        self._data = bytearray(self.capacity)
+        self._data = bytearray()
         self.bytes_received = 0
 
 

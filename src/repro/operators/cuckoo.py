@@ -22,7 +22,7 @@ from ..common.errors import OperatorError
 from .hashing import HashFamily, hash_key_batch
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     key: bytes
     value: object

@@ -48,6 +48,28 @@ def join_output_schema(probe_schema: Schema, build_schema: Schema,
     return Schema(out_columns)
 
 
+def gather_join_output(out_schema: Schema, probe_rows: np.ndarray,
+                       probe_idx, build_rows: np.ndarray, build_idx,
+                       payload_columns: list[str]) -> np.ndarray:
+    """The joined rows: ``probe_rows[probe_idx]`` extended with the
+    payload columns of ``build_rows[build_idx]``, one gather per column.
+
+    ``out_schema`` is :func:`join_output_schema` of the two sides, so the
+    probe columns come first and the payload columns follow under their
+    (possibly ``build_``-renamed) output names.
+    """
+    pidx = np.asarray(probe_idx, dtype=np.int64)
+    bidx = np.asarray(build_idx, dtype=np.int64)
+    out = out_schema.empty(len(pidx))
+    nprobe = len(out_schema.names) - len(payload_columns)
+    for name in out_schema.names[:nprobe]:
+        out[name] = probe_rows[name][pidx]
+    for out_name, src_name in zip(out_schema.names[nprobe:],
+                                  payload_columns):
+        out[out_name] = build_rows[src_name][bidx]
+    return out
+
+
 class SmallTableJoinOperator(RowOperator):
     """Inner hash join: streaming probe side vs BRAM-resident build side."""
 
@@ -73,38 +95,57 @@ class SmallTableJoinOperator(RowOperator):
         self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
         self._key_schema = build_schema.project([build_key])
         self._payload_schema = build_schema.project(payload_columns)
+        self._payload = self._payload_schema.empty(0)
         self._built = False
         self.build_rows_loaded = 0
         self.probe_matches = 0
         self._out_schema: Schema | None = None
-        self._probe_schema: Schema | None = None
 
     # -- build phase -------------------------------------------------------------
     def load_build(self, rows: np.ndarray) -> None:
-        """Load the small table into the on-chip hash (one-off, at deploy)."""
+        """Load the small table into the on-chip hash (one-off, at deploy).
+
+        All or nothing: the rows go into a fresh table that replaces
+        :attr:`table` only once every row is resident, so a refused build
+        leaves the operator as it was.  The cuckoo value is the build row
+        index; the probe gathers payload columns by index.
+        """
         if self._built:
             raise OperatorError("build side already loaded")
-        keys = self._key_schema.empty(len(rows))
-        keys[self.build_key] = rows[self.build_key]
-        raw = self._key_schema.to_bytes(keys)
-        width = self._key_schema.row_width
-        payload = self._payload_schema.empty(len(rows))
-        for name in self.payload_columns:
-            payload[name] = rows[name]
-        for i in range(len(rows)):
-            key = raw[i * width:(i + 1) * width]
-            if key in self.table:
+        old = self.table
+        table = CuckooHashTable(old.ways, old.slots_per_way, old.max_kicks)
+        hashed = self._hashed_keys(table, rows, self.build_key)
+        for i, (key, slots) in enumerate(hashed):
+            if table.contains_at(key, slots):
                 raise OperatorError(
                     f"duplicate build key at row {i}: the small table must "
                     f"have unique join keys")
-            ok = self.table.put(key, payload[i:i + 1].copy())
-            if not ok:
+            if not table.put(key, i, slots):
                 raise JoinBuildOverflowError(
                     f"build side of {len(rows)} rows does not fit the "
-                    f"on-chip hash ({self.table.capacity} slots); offload "
+                    f"on-chip hash ({table.capacity} slots); offload "
                     f"refused — execute the join on the client")
+        payload = self._payload_schema.empty(len(rows))
+        for name in self.payload_columns:
+            payload[name] = rows[name]
+        self.table = table
+        self._payload = payload
         self.build_rows_loaded = len(rows)
         self._built = True
+
+    def _hashed_keys(self, table: CuckooHashTable, rows: np.ndarray,
+                     column: str):
+        """(key image, per-way slots) of each row's ``column`` value.
+
+        The slots of the whole batch are hashed at once, bit-identical
+        to hashing each key on its own.
+        """
+        keys = self._key_schema.empty(len(rows))
+        keys[self.build_key] = rows[column]
+        raw = self._key_schema.to_bytes(keys)
+        width = self._key_schema.row_width
+        images = np.frombuffer(raw, dtype=(np.void, width)).tolist()
+        return zip(images, table.batch_slots(raw, width))
 
     # -- binding (probe side) ---------------------------------------------------------
     def _bind(self, schema: Schema) -> Schema:
@@ -115,36 +156,25 @@ class SmallTableJoinOperator(RowOperator):
                 f"join key type mismatch: probe {self.probe_key!r} is "
                 f"{probe_col.kind}({probe_col.width}), build "
                 f"{self.build_key!r} is {build_col.kind}({build_col.width})")
-        self._probe_schema = schema
         self._out_schema = join_output_schema(schema, self.build_schema,
                                               self.payload_columns)
         return self._out_schema
-
-    @property
-    def output_names_for_payload(self) -> list[str]:
-        assert self._out_schema is not None and self._probe_schema is not None
-        return list(self._out_schema.names[len(self._probe_schema.names):])
 
     # -- probe phase ----------------------------------------------------------------------
     def _process(self, batch: np.ndarray) -> np.ndarray:
         if not self._built:
             raise OperatorError("probe started before the build side loaded")
-        assert self._out_schema is not None and self._probe_schema is not None
-        keys = self._key_schema.empty(len(batch))
-        keys[self.build_key] = batch[self.probe_key]
-        raw = self._key_schema.to_bytes(keys)
-        width = self._key_schema.row_width
-        matches: list[tuple[int, np.ndarray]] = []
-        for i in range(len(batch)):
-            payload = self.table.get(raw[i * width:(i + 1) * width])
-            if payload is not None:
-                matches.append((i, payload))
-        out = self._out_schema.empty(len(matches))
-        payload_names = self.output_names_for_payload
-        for j, (i, payload) in enumerate(matches):
-            for name in self._probe_schema.names:
-                out[name][j] = batch[name][i]
-            for out_name, src_name in zip(payload_names, self.payload_columns):
-                out[out_name][j] = payload[src_name][0]
-        self.probe_matches += len(matches)
-        return out
+        assert self._out_schema is not None
+        get = self.table.get
+        probe_idx: list[int] = []
+        build_idx: list[int] = []
+        hashed = self._hashed_keys(self.table, batch, self.probe_key)
+        for i, (key, slots) in enumerate(hashed):
+            j = get(key, slots)
+            if j is not None:
+                probe_idx.append(i)
+                build_idx.append(j)
+        self.probe_matches += len(probe_idx)
+        return gather_join_output(self._out_schema, batch, probe_idx,
+                                  self._payload, build_idx,
+                                  self.payload_columns)

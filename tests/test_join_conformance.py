@@ -24,7 +24,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import (FarviewConfig, MemoryConfig,
@@ -603,3 +603,187 @@ def test_colocated_requires_identical_shard_counts():
         PartitionSpec("hash", key="id"))
     assert fs2.num_partitions != ds4.num_partitions
     assert not colocated_compatible(fs2, ds4, "a", "id")
+
+
+# ---------------------------------------------------------------------------
+# Kernel equivalence over key byte images: the on-chip operator and the
+# client kernel vs a nested-loop oracle
+# ---------------------------------------------------------------------------
+
+import math  # noqa: E402
+import struct  # noqa: E402
+
+from repro.baselines.sw_ops import software_join  # noqa: E402
+from repro.operators.cuckoo import CuckooHashTable  # noqa: E402
+from repro.operators.join import SmallTableJoinOperator  # noqa: E402
+
+
+def _f64_bits(bits: int) -> bytes:
+    return bits.to_bytes(8, "little")
+
+
+#: Hand-picked key images per key column type.  For float64, +0.0 and
+#: -0.0 and the NaN payloads are distinct images, so they must not match.
+EDGE_IMAGES = {
+    ("int64", 8): [v.to_bytes(8, "little", signed=True)
+                   for v in (-1, 0, 1, 2, 7, 2 ** 40)],
+    ("float64", 8): ([struct.pack("<d", v)
+                      for v in (0.0, -0.0, 1.5, -2.25, math.inf)]
+                     + [_f64_bits(b) for b in (
+                         0x7FF8000000000000, 0x7FF8000000000001,
+                         0xFFF8000000000000, 0x7FF0000000000001)]),
+    ("char", 5): [b"ab\0\0\0", b"ab\0\0\x01", b"\0ab\0\0", b"abcde",
+                  b"\0" * 5],
+    ("char", 12): [b"key" + b"\0" * 9, b"key" + b"\0" * 8 + b"\x01",
+                   b"x" * 12, b"\0" * 12],
+}
+IMAGE_PAYLOAD = ["pay", "tag"]
+
+
+def _image_schemas(kind: str, width: int) -> tuple[Schema, Schema]:
+    build = Schema([Column("id", kind, width), Column("pay", "int64"),
+                    Column("tag", "char", 3)])
+    probe = Schema([Column("a", kind, width), Column("b", "int64")])
+    return build, probe
+
+
+def _image_rows(schema: Schema, key: str, images: list[bytes]) -> np.ndarray:
+    """Rows whose ``key`` column holds exactly ``images``."""
+    rows = schema.empty(len(images))
+    if images:
+        rows[key] = np.frombuffer(b"".join(images),
+                                  dtype=schema.column(key).dtype)
+    for name in schema.names:
+        if name == key:
+            continue
+        if schema.column(name).kind == "char":
+            rows[name] = [f"{i % 1000:03d}".encode() for i in range(len(rows))]
+        else:
+            rows[name] = np.arange(len(rows)) * 3 - 5
+    image = schema.project([key]).to_bytes(rows[[key]])
+    assert image == b"".join(images), "key images must round-trip"
+    return rows
+
+
+def _nested_loop_oracle(probe: np.ndarray, probe_images: list[bytes],
+                        build: np.ndarray, build_images: list[bytes],
+                        out_schema: Schema) -> bytes:
+    """Every (probe, build) pair whose key images are equal, probe-major."""
+    pairs = [(i, j) for i, p in enumerate(probe_images)
+             for j, b in enumerate(build_images) if p == b]
+    out = out_schema.empty(len(pairs))
+    for r, (i, j) in enumerate(pairs):
+        out[r] = tuple(probe[i]) + tuple(build[IMAGE_PAYLOAD][j])
+    return out_schema.to_bytes(out)
+
+
+@st.composite
+def image_join_case(draw, unique_build: bool = True):
+    kind, width = draw(st.sampled_from(sorted(EDGE_IMAGES)))
+    pool = EDGE_IMAGES[(kind, width)] + draw(st.lists(
+        st.binary(min_size=width, max_size=width), max_size=6))
+    build = draw(st.lists(st.sampled_from(pool), max_size=12,
+                          unique=unique_build))
+    probe = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return kind, width, build, probe
+
+
+@given(image_join_case())
+@example(("float64", 8,
+          [struct.pack("<d", 0.0), _f64_bits(0x7FF8000000000000)],
+          [struct.pack("<d", -0.0), struct.pack("<d", 0.0),
+           _f64_bits(0x7FF8000000000001), _f64_bits(0xFFF8000000000000),
+           _f64_bits(0x7FF8000000000000)]))
+@example(("char", 5, [b"ab\0\0\0", b"abcde"],
+          [b"ab\0\0\x01", b"\0ab\0\0", b"ab\0\0\0", b"abcde"]))
+@example(("char", 12, [b"key" + b"\0" * 9],
+          [b"key" + b"\0" * 8 + b"\x01", b"key" + b"\0" * 9]))
+@settings(max_examples=60, deadline=None)
+def test_join_kernels_match_nested_loop_oracle_over_key_images(case):
+    kind, width, build_images, probe_images = case
+    build_schema, probe_schema = _image_schemas(kind, width)
+    build = _image_rows(build_schema, "id", build_images)
+    probe = _image_rows(probe_schema, "a", probe_images)
+    op = SmallTableJoinOperator(build_schema, "id", "a", IMAGE_PAYLOAD)
+    op.load_build(build)
+    out_schema = op.bind(probe_schema)
+    expected = _nested_loop_oracle(probe, probe_images, build,
+                                   build_images, out_schema)
+    assert out_schema.to_bytes(op.process(probe)) == expected
+    shipped = software_join(probe, probe_schema, build, build_schema,
+                            "id", "a", IMAGE_PAYLOAD)
+    assert out_schema.to_bytes(shipped) == expected
+
+
+@given(image_join_case(unique_build=False))
+@settings(max_examples=40, deadline=None)
+def test_duplicate_build_key_names_the_first_repeated_row(case):
+    """Both kernels name the row the row-at-a-time scan trips over."""
+    kind, width, build_images, probe_images = case
+    build_schema, probe_schema = _image_schemas(kind, width)
+    build = _image_rows(build_schema, "id", build_images)
+    probe = _image_rows(probe_schema, "a", probe_images)
+    first = next((i for i, image in enumerate(build_images)
+                  if image in build_images[:i]), None)
+    op = SmallTableJoinOperator(build_schema, "id", "a", IMAGE_PAYLOAD)
+    if first is None:
+        op.load_build(build)
+        software_join(probe, probe_schema, build, build_schema, "id", "a",
+                      IMAGE_PAYLOAD)
+        return
+    match = f"duplicate build key at row {first}:"
+    with pytest.raises(OperatorError, match=match):
+        op.load_build(build)
+    with pytest.raises(OperatorError, match=match):
+        software_join(probe, probe_schema, build, build_schema, "id", "a",
+                      IMAGE_PAYLOAD)
+
+
+def _scalar_replay(images: list[bytes], ways: int, slots_per_way: int,
+                   max_kicks: int) -> tuple[CuckooHashTable, bool]:
+    """Insert ``images`` with on-demand hashing; stop at the first refusal."""
+    table = CuckooHashTable(ways, slots_per_way, max_kicks)
+    for i, image in enumerate(images):
+        if not table.put(image, i):
+            return table, False
+    return table, True
+
+
+@given(images=st.lists(st.binary(min_size=8, max_size=8), min_size=1,
+                       max_size=20, unique=True),
+       max_kicks=st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_precomputed_slots_replay_the_scalar_cuckoo_build(images, max_kicks):
+    """On a table small enough to evict, the batch-hashed build has the
+    kicks, overflow and residents of a ``put`` replay without slots."""
+    replay, fits = _scalar_replay(images, 2, 8, max_kicks)
+    batched = CuckooHashTable(2, 8, max_kicks)
+    for i, slots in enumerate(batched.batch_slots(b"".join(images), 8)):
+        if not batched.put(images[i], i, slots):
+            break
+    assert (batched.kicks, batched.overflow, list(batched.items())) == \
+        (replay.kicks, replay.overflow, list(replay.items()))
+
+    build_schema, _ = _image_schemas("int64", 8)
+    build = _image_rows(build_schema, "id", images)
+    op = SmallTableJoinOperator(build_schema, "id", "a", IMAGE_PAYLOAD,
+                                ways=2, slots_per_way=8,
+                                max_kicks=max_kicks)
+    if fits:
+        op.load_build(build)
+        assert op.table.kicks == replay.kicks
+        assert op.table.overflow == replay.overflow == []
+        assert list(op.table.items()) == list(replay.items())
+    else:
+        with pytest.raises(JoinBuildOverflowError):
+            op.load_build(build)
+        assert len(op.table) == 0
+
+
+def test_eviction_replay_covers_kicks_and_overflow():
+    """The replay property above is not vacuous: these builds evict."""
+    images = [i.to_bytes(8, "little") for i in range(16)]
+    evicting, fits = _scalar_replay(images[:10], 2, 8, 8)
+    assert fits and evicting.kicks > 0
+    _table, fits = _scalar_replay(images, 2, 8, 8)
+    assert not fits

@@ -157,6 +157,47 @@ def test_client_buffer_reset():
     assert buf.bytes_received == 0
 
 
+def test_client_buffer_out_of_order_deposits():
+    buf = ClientBuffer(64)
+    buf.deposit(8, b"world")
+    buf.deposit(0, b"hello")
+    assert buf.read(0, 13) == b"hello\x00\x00\x00world"
+    assert buf.bytes_received == 10
+    assert buf.stored_bytes == 13
+
+
+def test_client_buffer_reads_zeros_past_the_highest_deposit():
+    buf = ClientBuffer(64)
+    buf.deposit(2, b"ab")
+    assert buf.read(0, 8) == b"\x00\x00ab\x00\x00\x00\x00"
+    assert buf.read(40, 24) == b"\x00" * 24
+    assert buf.read(60) == b"\x00" * 4
+    assert buf.read() == b"\x00\x00ab" + b"\x00" * 60
+
+
+def test_client_buffer_reads_zeros_after_reset():
+    buf = ClientBuffer(64)
+    buf.deposit(0, b"x" * 32)
+    buf.reset()
+    assert buf.stored_bytes == 0
+    assert buf.read(0, 32) == b"\x00" * 32
+    buf.deposit(4, b"yy")
+    assert buf.read(0, 8) == b"\x00\x00\x00\x00yy\x00\x00"
+
+
+def test_client_buffer_capacity_bounds_deposits_and_reads():
+    buf = ClientBuffer(16)
+    for offset, chunk in ((-1, b"a"), (15, b"ab"), (16, b"a"), (0, b"a" * 17)):
+        with pytest.raises(NetworkError):
+            buf.deposit(offset, chunk)
+    for offset, length in ((-1, 1), (0, 17), (16, 1), (8, -1)):
+        with pytest.raises(NetworkError):
+            buf.read(offset, length)
+    assert buf.stored_bytes == 0 and buf.bytes_received == 0
+    buf.deposit(0, b"a" * 16)
+    assert buf.read(0, 16) == b"a" * 16
+
+
 # --- request/write delivery ------------------------------------------------------------
 
 def test_deliver_request_counts_and_takes_time():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
-from repro.common.errors import OperatorError, PipelineCompilationError, QueryError
+from repro.common.errors import (JoinBuildOverflowError, OperatorError,
+                                 PipelineCompilationError, QueryError)
 from repro.common.records import Column, Schema, default_schema
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
@@ -86,6 +87,26 @@ def test_join_build_overflow_rejected():
     dim = make_dim(16)
     with pytest.raises(OperatorError, match="does not fit"):
         op.load_build(dim)
+
+
+def test_refused_build_leaves_the_operator_unchanged():
+    """A refused build must not leave half a table behind: the next
+    build that fits succeeds and joins exactly."""
+    op = SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate"],
+                                ways=1, slots_per_way=4, max_kicks=1)
+    with pytest.raises(JoinBuildOverflowError):
+        op.load_build(make_dim(16))
+    dup = make_dim(3)
+    dup["id"] = [0, 1, 0]
+    with pytest.raises(OperatorError, match="duplicate build key at row 2"):
+        op.load_build(dup)
+    assert len(op.table) == 0 and op.build_rows_loaded == 0
+    op.load_build(make_dim(2))
+    schema, fact = make_fact(6, key_mod=3)
+    op.bind(schema)
+    out = op.process(fact)
+    assert out["a"].tolist() == [0, 1, 0, 1]
+    assert out["rate"].tolist() == pytest.approx([0.0, 0.1, 0.0, 0.1])
 
 
 def test_join_probe_before_build_rejected():

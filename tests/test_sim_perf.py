@@ -11,13 +11,16 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.sw_ops import software_join
 from repro.common.config import FarviewConfig, MemoryConfig
-from repro.common.records import default_schema
+from repro.common.records import Column, Schema, default_schema
 from repro.common.units import MB
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
 from repro.core.query import select_distinct
 from repro.core.table import FTable
+from repro.operators import hashing
+from repro.operators.join import SmallTableJoinOperator
 from repro.sim.engine import Simulator
 from repro.workloads.generator import distinct_workload
 
@@ -93,6 +96,61 @@ def test_run_is_deterministic():
     assert a["sim_ns"] == b["sim_ns"]
     assert a["events"] == b["events"]
     assert a["digests"] == b["digests"]
+
+
+# -- host work proportional to the data (counts, not wall clock) --------------
+
+def test_receive_buffer_storage_tracks_the_bytes_deposited():
+    """A 4 KiB result into an 8 MiB receive buffer stores 4 KiB, not 8."""
+    config = FarviewConfig(memory=MemoryConfig(channels=2,
+                                               channel_capacity=16 * MB))
+    client = FarviewClient(FarviewNode(Simulator(), config))
+    conn = client.open_connection()
+    assert conn.qp.buffer.capacity == 8 * MB
+    assert conn.qp.buffer.stored_bytes == 0
+    schema = default_schema()
+    nrows = 4 * KB // schema.row_width
+    rows = schema.empty(nrows)
+    rows["a"] = np.arange(nrows)
+    table = FTable("T", schema, nrows)
+    client.alloc_table_mem(table)
+    client.table_write(table, rows)
+    data, _elapsed = client.table_read(table)
+    assert data == schema.to_bytes(rows)
+    buffer = conn.qp.buffer
+    assert buffer.bytes_received == 4 * KB
+    assert buffer.stored_bytes <= buffer.bytes_received
+
+
+def test_join_build_and_probe_hash_each_batch_not_each_key(monkeypatch):
+    """Without evictions, neither join kernel hashes a key on its own."""
+    calls = []
+    scalar = hashing.hash_key
+
+    def counting_hash_key(key, seed=0):
+        calls.append(key)
+        return scalar(key, seed)
+
+    monkeypatch.setattr(hashing, "hash_key", counting_hash_key)
+    dim_schema = Schema([Column("id", "int64"), Column("rate", "float64")])
+    dim = dim_schema.empty(512)
+    dim["id"] = np.arange(512) * 3
+    dim["rate"] = np.arange(512) * 0.5
+    schema = default_schema()
+    fact = schema.empty(4096)
+    fact["a"] = np.arange(4096) % 1024
+    op = SmallTableJoinOperator(dim_schema, "id", "a", ["rate"])
+    op.load_build(dim)
+    op.bind(schema)
+    out = op.process(fact)
+    assert op.table.kicks == 0
+    shipped = software_join(fact, schema, dim, dim_schema, "id", "a",
+                            ["rate"])
+    assert len(out) == len(shipped) == 4 * 342
+    assert calls == []
+    # The counter is live: a scalar lookup is seen.
+    assert (b"\0" * 8) in op.table
+    assert calls
 
 
 # -- zero-copy from_bytes contract --------------------------------------------
