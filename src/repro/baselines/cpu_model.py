@@ -1,9 +1,8 @@
 """Analytic CPU cost model for the LCPU / RCPU baselines (§6.1).
 
-The baselines *really compute* their results (numpy scans, the from-scratch
-:class:`~repro.baselines.hashmap.SoftwareHashMap`, our regex engine and
-AES); this model supplies the simulated wall-clock those computations
-would take on the paper's Xeon Gold testbed.  Constants live in
+The baselines *really compute* their results (numpy scans and grouping,
+our regex engine and AES); this model supplies the simulated wall-clock
+those computations would take on the paper's Xeon Gold testbed.  Constants live in
 :mod:`repro.common.calibration` with provenance notes.
 
 Multi-process interference (Figure 12): when ``active_clients`` processes

@@ -1,10 +1,11 @@
 """Functional software operators used by the CPU baselines.
 
 These mirror what the paper's C++ baseline code does: tight scans with all
-compiler optimizations (numpy vector kernels here), hashing through a fast
-resizable map (:class:`SoftwareHashMap`), RE2-style regex matching (our
-linear-time engine), and Cryptopp-style AES (our AES-CTR).  They return
-both the result and the instrumentation the cost model charges for.
+compiler optimizations (numpy vector kernels here), hash grouping (exact
+key-image grouping here; the cost model charges a fast resizable map),
+RE2-style regex matching (our linear-time engine), and Cryptopp-style AES
+(our AES-CTR).  They return both the result and the instrumentation the
+cost model charges for.
 """
 
 from __future__ import annotations
@@ -15,12 +16,22 @@ import numpy as np
 
 from ..common.errors import OperatorError
 from ..common.records import Schema
-from ..operators.aggregate import Accumulator, AggregateSpec, batch_accumulate
+from ..operators.aggregate import (
+    Accumulator,
+    AggregateSpec,
+    GroupStates,
+    batch_accumulate,
+)
 from ..operators.crypto import AesCtr
+from ..operators.hashing import first_occurrences, key_images, sort_codes
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from ..operators.selection import Predicate
-from .hashmap import SoftwareHashMap
+
+#: The charged hash map (parallel-hashmap's design family): open
+#: addressing, 16 initial slots, doubling once 7/8 of them are full.
+_MAP_INITIAL_SLOTS = 16
+_MAP_MAX_LOAD = (7, 8)
 
 
 def software_select(rows: np.ndarray, predicate: Predicate) -> np.ndarray:
@@ -39,30 +50,29 @@ def software_project(rows: np.ndarray, schema: Schema,
     return out
 
 
+def map_resizes(num_keys: int) -> int:
+    """Times the charged hash map grows while ``num_keys`` keys go in."""
+    slots, resizes = _MAP_INITIAL_SLOTS, 0
+    num, den = _MAP_MAX_LOAD
+    while num_keys * den >= slots * num:
+        slots *= 2
+        resizes += 1
+    return resizes
+
+
 @dataclass
 class DistinctOutput:
     rows: np.ndarray
     map_resizes: int
-    rehashed_entries: int
 
 
 def software_distinct(rows: np.ndarray, schema: Schema,
                       key_columns: list[str]) -> DistinctOutput:
-    """Hash-based DISTINCT through the resizable software map."""
-    key_schema = schema.project(key_columns)
-    keys = key_schema.empty(len(rows))
-    for name in key_columns:
-        keys[name] = rows[name]
-    raw = key_schema.to_bytes(keys)
-    width = key_schema.row_width
-    table = SoftwareHashMap()
-    keep = np.zeros(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        key = raw[i * width:(i + 1) * width]
-        if table.put(key, True):
-            keep[i] = True
-    return DistinctOutput(rows=rows[keep], map_resizes=table.resizes,
-                          rehashed_entries=table.rehashed_entries)
+    """Hash DISTINCT: the first row of each distinct key, in row order."""
+    first, _ = first_occurrences(
+        key_images(rows, schema.project(key_columns)))
+    return DistinctOutput(rows=rows[first],
+                          map_resizes=map_resizes(len(first)))
 
 
 @dataclass
@@ -75,41 +85,28 @@ class GroupByOutput:
 def software_groupby(rows: np.ndarray, schema: Schema,
                      key_columns: list[str],
                      aggregates: list[AggregateSpec]) -> GroupByOutput:
-    """Hash aggregation through the resizable software map."""
-    key_schema = schema.project(key_columns)
-    keys = key_schema.empty(len(rows))
-    for name in key_columns:
-        keys[name] = rows[name]
-    raw = key_schema.to_bytes(keys)
-    width = key_schema.row_width
+    """Hash aggregation, groups in first-occurrence order.
+
+    Byte-compatible with the offloaded
+    :class:`~repro.operators.groupby.GroupByOperator`: the same
+    :class:`~repro.operators.aggregate.GroupStates` fold.
+    """
+    first, local = first_occurrences(
+        key_images(rows, schema.project(key_columns)))
     value_columns = sorted({s.column for s in aggregates
                             if not (s.func == "count" and s.column == "*")})
-    columns = [rows[name] for name in value_columns]
-    table = SoftwareHashMap()
-    order: list[bytes] = []
-    for i in range(len(rows)):
-        key = raw[i * width:(i + 1) * width]
-        acc = table.get(key)
-        if acc is None:
-            acc = Accumulator(len(value_columns))
-            table.put(key, acc)
-            order.append(key)
-        acc.update(tuple(float(col[i]) for col in columns))
+    states = GroupStates(aggregates, value_columns)
+    gids = np.arange(states.add(len(first)), len(first))
+    if len(rows):
+        states.fold(rows, local, gids, first)
     out_columns = ([schema.column(k) for k in key_columns]
                    + [s.output_column(schema) for s in aggregates])
-    out_schema = Schema(out_columns)
-    out = out_schema.empty(len(order))
-    for i, key in enumerate(order):
-        acc = table.get(key)
-        key_row = key_schema.from_bytes(key)
-        for name in key_columns:
-            out[name][i] = key_row[name][0]
-        for spec in aggregates:
-            idx = (value_columns.index(spec.column)
-                   if spec.column in value_columns else 0)
-            out[spec.alias][i] = acc.result(spec, idx)
-    return GroupByOutput(rows=out, num_groups=len(order),
-                         map_resizes=table.resizes)
+    out = Schema(out_columns).empty(len(first))
+    for name in key_columns:
+        out[name] = rows[name][first]
+    states.write(out, aggregates, gids)
+    return GroupByOutput(rows=out, num_groups=len(first),
+                         map_resizes=map_resizes(len(first)))
 
 
 def software_aggregate(rows: np.ndarray, schema: Schema,
@@ -162,15 +159,14 @@ def software_join(rows: np.ndarray, schema: Schema,
             f"{probe_col.kind}({probe_col.width}), build "
             f"{build_key!r} is {build_col.kind}({build_col.width})")
     key_schema = build_schema.project([build_key])
-    key_dtype = np.dtype((np.void, key_schema.row_width))
 
-    def key_images(table_rows: np.ndarray, column: str) -> np.ndarray:
+    def images(table_rows: np.ndarray, column: str) -> np.ndarray:
         keys = key_schema.empty(len(table_rows))
         keys[build_key] = table_rows[column]
-        return np.frombuffer(key_schema.to_bytes(keys), dtype=key_dtype)
+        return sort_codes(key_images(keys, key_schema))
 
-    build_image = key_images(build_rows, build_key)
-    probe_image = key_images(rows, probe_key)
+    build_image = images(build_rows, build_key)
+    probe_image = images(rows, probe_key)
     # Keys match by byte image (so -0.0 and +0.0 differ, as on chip):
     # sort the build images, then binary-search every probe image.  The
     # simulated cost is charged by the caller from row counts
@@ -183,7 +179,11 @@ def software_join(rows: np.ndarray, schema: Schema,
         raise OperatorError(
             f"duplicate build key at row {int(order[repeats].min())}: the "
             f"small table must have unique join keys")
-    pos = np.searchsorted(ordered, probe_image)
+    # Searching keys in sorted order lets each binary search start from
+    # the last hit.
+    probe_order = np.argsort(probe_image)
+    pos = np.empty(len(probe_image), dtype=np.intp)
+    pos[probe_order] = np.searchsorted(ordered, probe_image[probe_order])
     if len(ordered):
         hit = ordered[np.minimum(pos, len(ordered) - 1)] == probe_image
     else:

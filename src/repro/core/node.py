@@ -169,6 +169,7 @@ class FarviewNode:
         self.regions.release(conn.region)
         self.resources.undeploy(conn.region.index)
         self.mmu.destroy_domain(conn.domain)
+        self.link.unregister_flow(conn.qp.qp_id)
         conn.qp.connected = False
         conn.closed = True
         del self.connections[conn.qp.qp_id]

@@ -52,7 +52,12 @@ class DramChannel:
         return self._data[offset:offset + length].tobytes()
 
     def poke(self, offset: int, data: bytes | memoryview) -> None:
-        """Write bytes without consuming simulated bandwidth."""
+        """Write bytes without consuming simulated bandwidth.
+
+        Raw channel access: it bypasses the MMU, whose page scrub on
+        reallocation clears only bytes written through the MMU
+        (:meth:`~repro.memory.mmu.Mmu.poke` / ``Mmu.write``).
+        """
         self._check_range(offset, len(data))
         self._data[offset:offset + len(data)] = np.frombuffer(data,
                                                               dtype=np.uint8)
@@ -76,7 +81,8 @@ class DramChannel:
         return done
 
     def write(self, offset: int, data: bytes) -> Event:
-        """Timed write; the event fires when the last byte lands."""
+        """Timed write; the event fires when the last byte lands (raw
+        channel access, like :meth:`poke`)."""
         self.poke(offset, data)
         return self.write_pipe.transfer(len(data))
 

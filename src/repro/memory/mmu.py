@@ -100,6 +100,9 @@ class Mmu:
         self._page_tables: dict[int, dict[int, PageFrames]] = {}
         self._allocations: dict[int, dict[int, _Allocation]] = {}
         self._next_vpage: dict[int, int] = {}
+        #: Slice offset -> bytes from the slice start (on every channel)
+        #: that writes may have dirtied; reuse scrubs only that prefix.
+        self._dirty: dict[int, int] = {}
         self.translation_ns_accumulated = 0.0
 
     # -- domains ---------------------------------------------------------------
@@ -140,14 +143,17 @@ class Mmu:
         first_vpage = self._next_vpage[domain]
         alloc = _Allocation(vaddr=first_vpage * page_size, nbytes=nbytes)
         table = self._page_tables[domain]
-        slice_size = self.allocator.slice_size
         for i in range(npages):
             vpage = first_vpage + i
             frames = self.allocator.allocate_page()
             # Scrub recycled frames: fresh allocations read as zero, and no
             # data leaks across protection domains when pages are reused.
-            for channel, offset in zip(self.channels, frames.slice_offsets):
-                channel.store_slice(offset, slice_size)[:] = 0
+            # Only the written prefix can be non-zero.
+            dirty = self._dirty.pop(frames.slice_offsets[0], 0)
+            if dirty:
+                for channel, offset in zip(self.channels,
+                                           frames.slice_offsets):
+                    channel.store_slice(offset, dirty)[:] = 0
             table[vpage] = frames
             alloc.pages.append(vpage)
         self._next_vpage[domain] = first_vpage + npages
@@ -279,13 +285,15 @@ class Mmu:
             return
         unit = self.config.stripe_unit
         nchan = self.config.channels
+        offset = frames.slice_offsets[0]
         if nchan == 1:
-            self.channels[0].store_slice(
-                frames.slice_offsets[0] + start, length)[:] = data
+            self.channels[0].store_slice(offset + start, length)[:] = data
+            self._mark_dirty(offset, start + length)
             return
         row0 = (start // unit) // nchan
         row1 = ((start + length - 1) // unit) // nchan
         nrows = row1 - row0 + 1
+        self._mark_dirty(offset, (row1 + 1) * unit)
         window_start = start - row0 * nchan * unit
         span = np.empty((nrows, nchan, unit), dtype=np.uint8)
         aligned = window_start == 0 and length == nrows * nchan * unit
@@ -300,6 +308,10 @@ class Mmu:
             base = frames.slice_offsets[c] + row0 * unit
             channel.store_slice(base, nrows * unit).reshape(
                 nrows, unit)[:, :] = span[:, c, :]
+
+    def _mark_dirty(self, offset: int, extent: int) -> None:
+        if extent > self._dirty.get(offset, 0):
+            self._dirty[offset] = extent
 
     # -- timed data path -------------------------------------------------------------
     def _translation_charge(self, domain: int, vaddr: int,

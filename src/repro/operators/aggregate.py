@@ -15,6 +15,7 @@ import numpy as np
 from ..common.errors import OperatorError, QueryError
 from ..common.records import Column, Schema
 from .base import RowOperator
+from .hashing import first_occurrences
 
 SUPPORTED_FUNCS = ("count", "sum", "min", "max", "avg")
 
@@ -99,6 +100,162 @@ class Accumulator:
         if spec.func == "min":
             return self.mins[column_index]
         return self.maxs[column_index]
+
+
+class GroupStates:
+    """Running aggregates of many groups, as arrays indexed by group id.
+
+    The batched form of one :class:`Accumulator` per group: a count, one
+    running sum per value column, and running extremes only for the
+    columns a MIN or MAX reads.  :meth:`fold` gives bit-identical state to
+    calling :meth:`Accumulator.update` row by row: sums add in row order
+    (``np.add.at`` is unbuffered), and an extreme keeps the per-value rule
+    — the first value seeds it, a later one replaces it only if strictly
+    smaller (larger).  So a NaN seed sticks, later NaNs are ignored, and
+    on a tie (``-0.0`` against ``0.0``) the first-seen value wins.
+    """
+
+    def __init__(self, aggregates: list[AggregateSpec],
+                 value_columns: list[str]):
+        self.value_columns = list(value_columns)
+        index = {name: i for i, name in enumerate(self.value_columns)}
+        #: func -> value-column indices whose extreme is kept.
+        self._extreme_columns = {
+            func: sorted({index[s.column] for s in aggregates
+                          if s.func == func})
+            for func in ("min", "max")}
+        self.size = 0
+        self.count = np.zeros(0, dtype=np.int64)
+        self.sums = np.zeros((len(self.value_columns), 0))
+        self._extremes = {func: np.zeros((len(cols), 0))
+                          for func, cols in self._extreme_columns.items()}
+
+    def add(self, k: int) -> int:
+        """Open ``k`` empty groups; returns the first new group id."""
+        base = self.size
+        self.size += k
+        if self.size > len(self.count):
+            capacity = max(16, 2 * self.size)
+            self.count = _grown(self.count, capacity)
+            self.sums = _grown(self.sums, capacity)
+            for func, state in self._extremes.items():
+                self._extremes[func] = _grown(state, capacity)
+        return base
+
+    def fold(self, rows: np.ndarray, local: np.ndarray, gids: np.ndarray,
+             first: np.ndarray) -> None:
+        """Fold a batch of rows into their groups, in row order.
+
+        The batch's distinct keys are numbered ``0..k-1`` (in any
+        order): ``local[i]`` is row ``i``'s key, ``first[u]`` the first
+        row of key ``u`` and ``gids[u]`` its group.
+        """
+        fresh = self.count[gids] == 0
+        self.count[gids] += np.bincount(local, minlength=len(gids))
+        # Fresh float64 copies: ``np.add.at`` runs its fast loop only on
+        # a plain float64 operand, not on a view into the record array.
+        values = [rows[name].astype(np.float64)
+                  for name in self.value_columns]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            for total, column in zip(self.sums, values):
+                _add_in_row_order(total, column, local, gids)
+        for func, cols in self._extreme_columns.items():
+            pick = np.fmin if func == "min" else np.fmax
+            state = self._extremes[func]
+            for j, c in enumerate(cols):
+                column = values[c]
+                # Each key's extreme in the batch (NaN if all its values
+                # are), taken from its first occurrence: that fixes the
+                # sign of a zero.
+                best = np.full(len(gids), np.nan)
+                pick.at(best, local, column)
+                ties = np.flatnonzero(column == best[local])
+                row = np.full(len(gids), len(column))
+                np.minimum.at(row, local[ties], ties)
+                found = np.flatnonzero(row < len(column))
+                best[found] = column[row[found]]
+                held = np.where(fresh, column[first], state[j, gids])
+                better = best < held if func == "min" else best > held
+                state[j, gids] = np.where(better, best, held)
+
+    def result(self, spec: AggregateSpec, gids: np.ndarray) -> np.ndarray:
+        """``spec``'s value for each group in ``gids``."""
+        if spec.func == "count":
+            return self.count[gids]
+        c = self.value_columns.index(spec.column)
+        if spec.func == "sum":
+            return self.sums[c, gids]
+        if spec.func == "avg":
+            return self.sums[c, gids] / self.count[gids]
+        j = self._extreme_columns[spec.func].index(c)
+        return self._extremes[spec.func][j, gids]
+
+    def write(self, out: np.ndarray, specs: list[AggregateSpec],
+              gids: np.ndarray) -> None:
+        """Fill ``out``'s aggregate columns with the groups ``gids``."""
+        for spec in specs:
+            store_column(out[spec.alias], self.result(spec, gids))
+
+    def accumulator(self, gid: int) -> Accumulator:
+        """One group's state as an :class:`Accumulator` (extremes that no
+        MIN or MAX reads stay ``None``)."""
+        acc = Accumulator(len(self.value_columns))
+        acc.count = int(self.count[gid])
+        acc.sums = self.sums[:, gid].tolist()
+        for func, cols in self._extreme_columns.items():
+            held = acc.mins if func == "min" else acc.maxs
+            for j, c in enumerate(cols):
+                held[c] = float(self._extremes[func][j, gid])
+        return acc
+
+
+def _grown(state: np.ndarray, capacity: int) -> np.ndarray:
+    """``state`` zero-extended to ``capacity`` along its last axis."""
+    out = np.zeros(state.shape[:-1] + (capacity,), dtype=state.dtype)
+    out[..., :state.shape[-1]] = state
+    return out
+
+
+def _add_in_row_order(total: np.ndarray, column: np.ndarray,
+                      local: np.ndarray, gids: np.ndarray) -> None:
+    """``total[gids[local[i]]] += column[i]`` for each row ``i`` in order.
+
+    ``np.add.at`` adds in row order, so every finite (or inf) bit pattern
+    matches Python's ``+=``.  NaN + NaN is the exception: Python keeps the
+    running sum's NaN, while numpy may keep either operand.  A NaN sum
+    never changes again, so each key adds only its rows before its first
+    NaN value, then that value (unless inf - inf made the sum NaN first).
+    """
+    nan = np.isnan(column)
+    if not nan.any():
+        np.add.at(total, gids[local], column)
+        return
+    nan_rows = np.flatnonzero(nan)
+    firsts = nan_rows[first_occurrences(local[nan_rows])[0]]
+    cut = np.full(len(gids), len(column))
+    cut[local[firsts]] = firsts
+    before = np.arange(len(column)) < cut[local]
+    np.add.at(total, gids[local[before]], column[before])
+    held = total[gids[local[firsts]]]
+    total[gids[local[firsts]]] = np.where(np.isnan(held), held,
+                                          held + column[firsts])
+
+
+def store_column(column: np.ndarray, values: np.ndarray) -> None:
+    """``column[:] = values`` with scalar-assignment semantics.
+
+    A float that does not fit an integer column (NaN, inf, out of range)
+    raises as assigning it element by element would, instead of the
+    silent wrap of an array cast.
+    """
+    if column.dtype.kind in "iu" and values.dtype.kind == "f":
+        info = np.iinfo(column.dtype)
+        whole = np.trunc(values)
+        fits = (whole >= float(info.min)) & (whole < float(info.max))
+        if not fits.all():
+            bad = int(np.argmin(fits))
+            column[bad] = values[bad].item()  # raises
+    column[:] = values
 
 
 def batch_accumulate(acc: Accumulator, batch: np.ndarray,

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..common.errors import OperatorError
-from .hashing import HashFamily, hash_key_batch
+from .hashing import HashFamily, hash_key_seeds
 
 
 @dataclass(slots=True)
@@ -63,9 +63,8 @@ class CuckooHashTable:
         precomputed slot rows through :meth:`_probe` / :meth:`put` /
         :meth:`get` — bit-identical to hashing each key on demand.
         """
-        cols = [hash_key_batch(raw, width, seed=way) % self.slots_per_way
-                for way in range(self.ways)]
-        return np.stack(cols, axis=1).tolist()
+        hashes = hash_key_seeds(raw, width, range(self.ways))
+        return (hashes % np.uint64(self.slots_per_way)).tolist()
 
     def _probe(self, key: bytes,
                slots: Optional[Sequence[int]] = None
@@ -113,13 +112,28 @@ class CuckooHashTable:
         ``slots`` may carry the key's precomputed per-way slot indices;
         evicted residents are re-hashed on demand (the rare path).
         """
-        hit = self._probe(key, slots)
-        if hit is not None:
-            hit[2].value = value
-            return True
+        if slots is None:
+            slots = [self._family.slot(way, key, self.slots_per_way)
+                     for way in range(self.ways)]
+        # One parallel lookup: update the key where it lives, else start
+        # at the first way whose slot is empty (way 0 if none is).
+        tables = self._tables
+        free = -1
+        for way, slot in enumerate(slots):
+            resident = tables[way][slot]
+            if resident is None:
+                if free < 0:
+                    free = way
+            elif resident.key == key:
+                resident.value = value
+                return True
         entry = _Entry(key, value)
+        if free >= 0:
+            tables[free][slots[free]] = entry
+            self.size += 1
+            return True
         entry_slots = slots
-        way = self._way_hint(key, slots)
+        way = 0
         for _ in range(self.max_kicks):
             slot = (entry_slots[way] if entry_slots is not None
                     else self._family.slot(way, entry.key, self.slots_per_way))
@@ -147,21 +161,6 @@ class CuckooHashTable:
             return False
         hit[2].value = fn(hit[2].value)
         return True
-
-    def _way_hint(self, key: bytes,
-                  slots: Optional[Sequence[int]] = None) -> int:
-        # Start insertion at the way whose slot is empty if any (parallel
-        # lookup sees all ways at once), else way 0.
-        if slots is None:
-            for way in range(self.ways):
-                slot = self._family.slot(way, key, self.slots_per_way)
-                if self._tables[way][slot] is None:
-                    return way
-        else:
-            for way, slot in enumerate(slots):
-                if self._tables[way][slot] is None:
-                    return way
-        return 0
 
     # -- iteration / draining ---------------------------------------------------------
     def items(self) -> Iterator[tuple[bytes, object]]:

@@ -21,11 +21,16 @@ from ..common.errors import OperatorError
 from ..common.records import Schema
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
+from .hashing import group_keys, key_images
 from .lru_cache import ShiftRegisterLru
 
 
 class DistinctOperator(RowOperator):
-    """Eliminate duplicate tuples on the given key columns."""
+    """Eliminate duplicate tuples on the given key columns.
+
+    Host-side, a batch costs a fixed number of numpy calls plus one set
+    operation per distinct key and one cuckoo ``put`` per emitted key.
+    """
 
     fill_latency_cycles = 10  # deeper block: hash + table lookup stages
 
@@ -41,8 +46,7 @@ class DistinctOperator(RowOperator):
         self._schema: Schema | None = None
         self._key_schema: Schema | None = None
         #: O(1) mirror of the keys resident in the cuckoo table (kept in
-        #: lock-step with every put/overflow) so the streaming probe is one
-        #: hash lookup instead of a four-way table walk.
+        #: lock-step with every put/overflow).
         self._resident: set[bytes] = set()
 
     def _bind(self, schema: Schema) -> Schema:
@@ -54,44 +58,62 @@ class DistinctOperator(RowOperator):
         self._key_schema = schema.project(self.key_columns)
         return schema
 
-    def _key_image(self, batch: np.ndarray) -> bytes:
-        """Serialized key columns, one fixed-width key per row."""
-        assert self._key_schema is not None
-        key_schema = self._key_schema
-        keys = key_schema.empty(len(batch))
-        for name in self.key_columns:
-            keys[name] = batch[name]
-        return key_schema.to_bytes(keys)
-
     def _process(self, batch: np.ndarray) -> np.ndarray:
         n = len(batch)
         if n == 0:
             return batch
-        raw = self._key_image(batch)
-        width = self._key_schema.row_width
-        # Hash every key for every way in one vectorized pass; the per-row
-        # scan below then runs on O(1) dict/set operations only.
-        slots = self.table.batch_slots(raw, width)
-        keep = np.zeros(n, dtype=bool)
-        lru_probe = self.lru.lookup_or_insert
+        assert self._key_schema is not None
+        images = key_images(batch, self._key_schema)
+        groups = group_keys(images)
+        hit = self.lru.probe_batch(images, groups)
+        _, local, keys = groups
         resident = self._resident
-        table = self.table
-        overflow = table.overflow
-        dropped = 0
-        for i in range(n):
-            key = raw[i * width:(i + 1) * width]
-            if lru_probe(key) or key in resident:
-                dropped += 1
-                continue
-            keep[i] = True
-            resident.add(key)
-            if not table.put(key, True, slots[i]):
+        absent = np.fromiter((key not in resident for key in keys),
+                             dtype=bool, count=len(keys))
+        kept = []
+        start = 0
+        while start < n:
+            # Rows from ``start`` on that miss the LRU and the table; the
+            # first such row of each key emits and inserts it.
+            rows = start + np.flatnonzero(~hit[start:] & absent[local[start:]])
+            if not len(rows):
+                break
+            firsts = np.full(len(keys), n)
+            np.minimum.at(firsts, local[rows], rows)
+            rows = np.sort(firsts[firsts < n])
+            stop = self._insert(keys, local[rows], images[rows], absent)
+            if stop is None:
+                kept.append(rows)
+                break
+            # An overflow evicted a key: re-decide the rest of the batch.
+            kept.append(rows[:stop])
+            start = int(rows[stop - 1]) + 1
+        self.duplicates_dropped += n - sum(map(len, kept))
+        return batch[np.concatenate(kept)] if kept else batch[:0]
+
+    def _insert(self, keys: list[bytes], new: np.ndarray,
+                new_images: np.ndarray, absent: np.ndarray) -> int | None:
+        """Insert the distinct keys ``new`` in order.
+
+        Returns ``None`` when all fit, else how many went in when one
+        overflowed; ``absent`` then tells which keys are not resident.
+        """
+        resident, put = self._resident, self.table.put
+        slots = self.table.batch_slots(new_images.tobytes(),
+                                       new_images.dtype.itemsize)
+        for i, (u, key_slots) in enumerate(zip(new.tolist(), slots)):
+            resident.add(keys[u])
+            if not put(keys[u], True, key_slots):
                 # The eviction chain pushed exactly one key (possibly this
-                # one) out of residency into the overflow buffer.
+                # one) out of residency.
                 self.overflow_count += 1
-                resident.discard(overflow[-1][0])
-        self.duplicates_dropped += dropped
-        return batch[keep]
+                evicted = self.table.overflow[-1][0]
+                resident.discard(evicted)
+                absent[new[:i + 1]] = False
+                if evicted in keys:
+                    absent[keys.index(evicted)] = True
+                return i + 1
+        return None
 
     @property
     def distinct_seen(self) -> int:

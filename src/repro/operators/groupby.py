@@ -25,9 +25,10 @@ import numpy as np
 
 from ..common.errors import OperatorError, QueryError
 from ..common.records import Schema
-from .aggregate import Accumulator, AggregateSpec
+from .aggregate import Accumulator, AggregateSpec, GroupStates
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
+from .hashing import group_keys, key_images
 from .lru_cache import ShiftRegisterLru
 
 #: Flush cost per group entry, operator-clock cycles (lookup + queue pop +
@@ -36,7 +37,14 @@ FLUSH_CYCLES_PER_GROUP = 4
 
 
 class GroupByOperator(RowOperator):
-    """Hash aggregation: ``SELECT keys, aggs FROM t GROUP BY keys``."""
+    """Hash aggregation: ``SELECT keys, aggs FROM t GROUP BY keys``.
+
+    Host-side, a batch costs a fixed number of numpy calls plus one dict
+    operation per distinct key: group state lives in :class:`GroupStates`
+    arrays, and the cuckoo table holds each resident group's id.  Group
+    ids are handed out in insertion order, so they double as the
+    insertion queue the flush replays.
+    """
 
     fill_latency_cycles = 12
 
@@ -52,15 +60,18 @@ class GroupByOperator(RowOperator):
         self.aggregates = list(aggregates)
         self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
         self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
-        self._insertion_queue: list[bytes] = []
-        self._overflow_groups: dict[bytes, Accumulator] = {}
-        #: O(1) mirror of the accumulators resident in the cuckoo table
-        #: (maintained through every put/overflow) so the per-tuple group
-        #: lookup is one dict access instead of a four-way table walk.
-        self._acc_mirror: dict[bytes, Accumulator] = {}
         self._value_columns = sorted(
             {s.column for s in self.aggregates
              if not (s.func == "count" and s.column == "*")})
+        self._states = GroupStates(self.aggregates, self._value_columns)
+        #: Key -> group id, for resident and overflowed groups alike.
+        self._gids: dict[bytes, int] = {}
+        #: Key images of every group id, one array per batch.
+        self._key_chunks: list[np.ndarray] = []
+        #: Overflowed groups not yet drained, and every group id that ever
+        #: overflowed (the flush skips those; the client merges them).
+        self._overflow: dict[bytes, int] = {}
+        self._spilled: set[int] = set()
         self._schema: Schema | None = None
         self._key_schema: Schema | None = None
         self._out_schema: Schema | None = None
@@ -89,86 +100,75 @@ class GroupByOperator(RowOperator):
 
     # -- streaming phase -----------------------------------------------------------
     def _process(self, batch: np.ndarray) -> np.ndarray:
-        assert self._schema is not None and self._key_schema is not None
-        n = len(batch)
-        keys = self._key_schema.empty(n)
-        for name in self.key_columns:
-            keys[name] = batch[name]
-        raw = self._key_schema.to_bytes(keys)
-        width = self._key_schema.row_width
-        if n:
-            # Vectorized: hash all keys per way up front, convert the value
-            # columns to plain floats in one pass.
-            slots = self.table.batch_slots(raw, width)
-            if self._value_columns:
-                values = np.column_stack(
-                    [batch[name].astype(np.float64, copy=False)
-                     for name in self._value_columns]).tolist()
-            else:
-                values = None
-            empty: tuple = ()
-            for i in range(n):
-                key = raw[i * width:(i + 1) * width]
-                row_values = tuple(values[i]) if values is not None else empty
-                self._update(key, row_values, slots[i])
-        assert self._out_schema is not None
+        assert self._key_schema is not None and self._out_schema is not None
+        if len(batch):
+            images = key_images(batch, self._key_schema)
+            groups = group_keys(images)
+            # Write-through cache: promotes hot keys; the authoritative
+            # state lives in the group arrays.
+            self.lru.probe_batch(images, groups)
+            first, local, keys = groups
+            gids = np.fromiter((self._gids.get(key, -1) for key in keys),
+                               dtype=np.int64, count=len(keys))
+            new = np.flatnonzero(gids < 0)
+            if len(new):
+                new = new[np.argsort(first[new])]  # insertion order
+                self._insert(keys, new, images[first[new]], gids)
+            self._states.fold(batch, local, gids, first)
         return self._out_schema.empty(0)
 
-    def _update(self, key: bytes, row_values: tuple,
-                slots: list[int] | None = None) -> None:
-        # Write-through cache: promotes hot keys; the authoritative state
-        # lives in the cuckoo table / overflow area.
-        self.lru.lookup_or_insert(key)
-        if self._overflow_groups and key in self._overflow_groups:
-            self._overflow_groups[key].update(row_values)
-            return
-        acc = self._acc_mirror.get(key)
-        if acc is not None:
-            acc.update(row_values)
-            return
-        acc = Accumulator(len(self._value_columns))
-        acc.update(row_values)
-        self._insertion_queue.append(key)
-        self._acc_mirror[key] = acc
-        if not self.table.put(key, acc, slots):
-            # The eviction chain pushed some accumulator out; move it to the
-            # software overflow area so no updates are lost.
-            for evicted_key, evicted_acc in self.table.drain_overflow():
-                self._overflow_groups[evicted_key] = evicted_acc
-                self._acc_mirror.pop(evicted_key, None)
+    def _insert(self, keys: list[bytes], new: np.ndarray,
+                new_images: np.ndarray, gids: np.ndarray) -> None:
+        """Open a group per new key and put it in the cuckoo table."""
+        base = self._states.add(len(new))
+        gids[new] = np.arange(base, base + len(new))
+        self._key_chunks.append(new_images)
+        slots = self.table.batch_slots(new_images.tobytes(),
+                                       new_images.dtype.itemsize)
+        for gid, u, key_slots in zip(range(base, base + len(new)),
+                                     new.tolist(), slots):
+            key = keys[u]
+            self._gids[key] = gid
+            if not self.table.put(key, gid, key_slots):
+                # The eviction chain pushed some group out; it keeps
+                # aggregating in the overflow area, so no update is lost.
+                for evicted_key, evicted_gid in self.table.drain_overflow():
+                    self._overflow[evicted_key] = evicted_gid
+                    self._spilled.add(evicted_gid)
 
     # -- flush phase ------------------------------------------------------------------
     def flush(self) -> np.ndarray | None:
-        assert self._out_schema is not None
-        rows = []
-        for key in self._insertion_queue:
-            acc = self._acc_mirror.get(key)
-            if acc is None:
-                continue  # lives in the overflow area; client merges it
-            rows.append((key, acc))
-        out = self._out_schema.empty(len(rows))
-        assert self._key_schema is not None
-        for i, (key, acc) in enumerate(rows):
-            key_row = self._key_schema.from_bytes(key)
+        assert self._out_schema is not None and self._key_schema is not None
+        kept = np.ones(self._states.size, dtype=bool)
+        kept[list(self._spilled)] = False  # the client merges overflow
+        gids = np.flatnonzero(kept)
+        out = self._out_schema.empty(len(gids))
+        if len(gids):
+            images = np.concatenate(self._key_chunks)[gids]
+            keys = self._key_schema.from_bytes(images.tobytes())
             for name in self.key_columns:
-                out[name][i] = key_row[name][0]
-            for spec in self.aggregates:
-                idx = (self._value_columns.index(spec.column)
-                       if spec.column in self._value_columns else 0)
-                out[spec.alias][i] = acc.result(spec, idx)
-        self.rows_out += len(rows)
+                out[name] = keys[name]
+            self._states.write(out, self.aggregates, gids)
+        self.rows_out += len(gids)
         return out
 
     def flush_cycles(self) -> int:
-        return FLUSH_CYCLES_PER_GROUP * len(self._insertion_queue)
+        return FLUSH_CYCLES_PER_GROUP * self._states.size
 
     # -- overflow contract ---------------------------------------------------------------
     @property
     def num_groups(self) -> int:
-        return len(self.table) + len(self._overflow_groups)
+        return len(self.table) + len(self._overflow)
 
     def drain_overflow_groups(self) -> dict[bytes, Accumulator]:
-        """Partially aggregated overflow groups for client-side merging."""
-        out = self._overflow_groups
-        self._overflow_groups = {}
+        """Partially aggregated overflow groups for client-side merging.
+
+        A drained key is forgotten: if it streams in again it opens a
+        fresh group.
+        """
+        out = {key: self._states.accumulator(gid)
+               for key, gid in self._overflow.items()}
+        for key in self._overflow:
+            del self._gids[key]
+        self._overflow = {}
         return out

@@ -5,13 +5,19 @@ XOR-shift mixers that pipeline to one result per cycle (cf. Kara & Alonso,
 "Fast and robust hashing for database operators", FPL'16 — reference [44]
 of the paper).  We implement a splitmix64-style finalizer parameterized by
 seed so the cuckoo tables can use independent hash functions.
+
+The module also groups fixed-width key images exactly, which the batched
+grouping operators and client kernels build on.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, NamedTuple
+
 import numpy as np
 
 from ..common.errors import OperatorError
+from ..common.records import Schema
 
 _MASK64 = (1 << 64) - 1
 
@@ -23,7 +29,7 @@ _SEED_GOLDEN = 0x9E3779B97F4A7C15
 
 def mix64(value: int, seed: int = 0) -> int:
     """SplitMix64 finalizer over one 64-bit value (seeded)."""
-    x = (value + (seed + 1) * _SEED_GOLDEN) & _MASK64
+    x = (value + _seed_offset(seed)) & _MASK64
     x ^= x >> 30
     x = (x * _M1) & _MASK64
     x ^= x >> 27
@@ -53,10 +59,32 @@ def hash_key_batch(raw: bytes | memoryview, width: int,
     little-endian words, and so does this, just across the whole batch at
     once.
     """
+    return hash_key_seeds(raw, width, (seed,))[:, 0]
+
+
+def hash_key_seeds(raw: bytes | memoryview, width: int,
+                   seeds: Iterable[int]) -> np.ndarray:
+    """:func:`hash_key_batch` under several seeds at once: an
+    ``(n, len(seeds))`` array, one column per seed."""
+    seeds = list(seeds)
     if width <= 0:
         raise OperatorError(f"key width must be positive: {width}")
-    if seed < 0:
-        raise OperatorError(f"negative hash seed: {seed}")
+    if min(seeds) < 0:
+        raise OperatorError(f"negative hash seed: {min(seeds)}")
+    words = _key_words(raw, width)
+    acc = np.empty((len(words), len(seeds)), dtype=np.uint64)
+    acc[:] = [mix64(width, seed) for seed in seeds]
+    offsets = np.array([_seed_offset(seed) for seed in seeds],
+                       dtype=np.uint64)
+    for j in range(words.shape[1]):
+        acc = _splitmix(acc ^ words[:, j:j + 1], offsets)
+    return acc
+
+
+def _key_words(raw: bytes | memoryview | np.ndarray,
+               width: int) -> np.ndarray:
+    """Packed fixed-width keys as little-endian 8-byte words, zero-padded:
+    an ``(n, ceil(width / 8))`` uint64 array."""
     data = np.frombuffer(raw, dtype=np.uint8)
     if data.size % width:
         raise OperatorError(
@@ -65,27 +93,131 @@ def hash_key_batch(raw: bytes | memoryview, width: int,
     n = data.size // width
     nwords = (width + 7) // 8
     if width == nwords * 8:
-        words = data.view("<u8").reshape(n, nwords)
-    else:
-        padded = np.zeros((n, nwords * 8), dtype=np.uint8)
-        padded[:, :width] = data.reshape(n, width)
-        words = padded.view("<u8")
-    acc = np.full(n, mix64(width, seed), dtype=np.uint64)
-    for j in range(nwords):
-        acc = hash_u64_array(acc ^ words[:, j], seed)
-    return acc
+        return data.view("<u8").reshape(n, nwords)
+    padded = np.zeros((n, nwords * 8), dtype=np.uint8)
+    padded[:, :width] = data.reshape(n, width)
+    return padded.view("<u8")
+
+
+def key_images(rows: np.ndarray, key_schema: Schema) -> np.ndarray:
+    """The key columns of ``rows`` as one fixed-width byte image per row.
+
+    Returns a 1-D ``np.void`` array over ``key_schema``'s byte layout.
+    Keys are equal iff their images are, so ``-0.0`` and ``0.0`` (or two
+    NaN payloads) are different keys, as on chip.
+    """
+    keys = key_schema.empty(len(rows))
+    for name in key_schema.names:
+        keys[name] = rows[name]
+    return keys.view(np.dtype((np.void, key_schema.row_width)))
+
+
+def sort_codes(values: np.ndarray) -> np.ndarray:
+    """``values`` in a form numpy sorts fast, with the same equality:
+    8-byte key images as uint64 (the sort order differs; only equality
+    and a consistent order matter)."""
+    if values.dtype.kind == "V" and values.dtype.itemsize == 8:
+        return values.view("<u8")
+    return values
+
+
+def key_classes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Equality classes of a 1-D array: ``(classes, k)``.
+
+    ``classes[i] == classes[j]`` iff ``values[i] == values[j]``; the ``k``
+    classes are numbered ``0..k-1`` in no promised order.  One unstable
+    sort: key images sort as their zero-padded 8-byte words, and images
+    wider than that by a fold of their words, checked against the images
+    so that a shared fold cannot merge two keys.
+    """
+    n = len(values)
+    codes = sort_codes(values)
+    folded = False
+    if codes.dtype.kind == "V":
+        words = _key_words(np.ascontiguousarray(values),
+                           values.dtype.itemsize)
+        codes = words[:, 0]
+        for j in range(1, words.shape[1]):
+            codes = codes * np.uint64(_M1) ^ words[:, j]
+            folded = True
+    order = np.argsort(codes)
+    ordered = codes[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    if folded:
+        ranked = values[order]
+        if ((ranked[1:] != ranked[:-1]) != starts[1:]).any():
+            # Two keys share a fold: sort the images themselves.
+            order = np.argsort(values)
+            ranked = values[order]
+            starts[1:] = ranked[1:] != ranked[:-1]
+    classes = np.empty(n, dtype=np.int64)
+    classes[order] = starts.cumsum() - 1
+    return classes, np.count_nonzero(starts)
+
+
+def first_occurrences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal elements of a 1-D array: ``(first, local)``.
+
+    Distinct values are numbered ``0..k-1`` in order of first occurrence;
+    ``first[u]`` is the index where value ``u`` first occurs (so ``first``
+    ascends) and ``local[i]`` is the number of the value at index ``i``.
+    No per-element Python.
+    """
+    first, classes = _first_of_classes(values)
+    rank = np.argsort(first)
+    number = np.empty(len(rank), dtype=np.int64)
+    number[rank] = np.arange(len(rank))
+    return first[rank], number[classes]
+
+
+def _first_of_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`key_classes`, and the first index of each class."""
+    n = len(values)
+    classes, k = key_classes(values)
+    first = np.full(k, n)
+    np.minimum.at(first, classes, np.arange(n))
+    return first, classes
+
+
+class KeyGroups(NamedTuple):
+    """A batch of key images grouped by equality (:func:`group_keys`).
+
+    The distinct keys are numbered ``0..k-1`` in no promised order.
+    """
+
+    first: np.ndarray   # row of each distinct key's first occurrence
+    local: np.ndarray   # each row's distinct-key number
+    keys: list[bytes]   # the distinct keys
+
+
+def group_keys(images: np.ndarray) -> KeyGroups:
+    """Group a batch of key images, with the distinct keys as ``bytes``
+    for the dict and set operations done once per key."""
+    first, local = _first_of_classes(images)
+    return KeyGroups(first, local, images[first].tolist())
 
 
 def hash_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized SplitMix64 over a uint64 array (one hash per element)."""
-    x = values.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(((seed + 1) * _SEED_GOLDEN) & _MASK64)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_M1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_M2)
-        x ^= x >> np.uint64(31)
+    return _splitmix(values.astype(np.uint64, copy=True),
+                     np.uint64(_seed_offset(seed)))
+
+
+def _seed_offset(seed: int) -> int:
+    return ((seed + 1) * _SEED_GOLDEN) & _MASK64
+
+
+def _splitmix(x: np.ndarray, offset) -> np.ndarray:
+    """:func:`mix64` in place over a fresh uint64 array; ``offset`` (one
+    per column, or one for all) is the seeded increment.  Array integer
+    arithmetic wraps silently, as the mixer needs."""
+    x += offset
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_M1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_M2)
+    x ^= x >> np.uint64(31)
     return x
 
 

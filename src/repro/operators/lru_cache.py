@@ -14,17 +14,22 @@ hardware sizes it to cover the table lookup latency.
 
 The register is held as an insertion-ordered dict (oldest first) rather
 than a literal shift register: lookups and promotions are O(1) hash
-operations instead of list scans — this sits on the per-tuple hot path of
-DISTINCT and GROUP BY.  Hit/miss/eviction behaviour is identical for the
-lookup-then-insert protocol the operators use; the one divergence is that
-``insert`` of an already-resident key promotes it instead of storing a
-duplicate copy (true-LRU semantics; the old register could briefly hold
-the key twice).
+operations instead of list scans.  Hit/miss/eviction behaviour is
+identical for the lookup-then-insert protocol the operators use; the one
+divergence is that ``insert`` of an already-resident key promotes it
+instead of storing a duplicate copy (true-LRU semantics; the old register
+could briefly hold the key twice).  DISTINCT and GROUP BY probe a whole
+batch at once with :meth:`ShiftRegisterLru.probe_batch`;
+:meth:`ShiftRegisterLru.lookup_or_insert` is its scalar reference.
 """
 
 from __future__ import annotations
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from ..common.errors import OperatorError
+from .hashing import KeyGroups, group_keys
 
 
 class ShiftRegisterLru:
@@ -71,6 +76,98 @@ class ShiftRegisterLru:
         if len(reg) > self.depth:
             del reg[next(iter(reg))]
         return False
+
+    def probe_batch(self, keys: np.ndarray,
+                    groups: KeyGroups | None = None) -> np.ndarray:
+        """:meth:`lookup_or_insert` over a batch of keys in one call.
+
+        ``keys`` is a 1-D ``np.void`` array of fixed-width key images;
+        ``groups`` may carry ``group_keys(keys)`` when the caller has it.
+        Returns the per-key hit flags; the counters and the final register
+        are those of probing the keys one by one, in order.
+
+        True LRU is a stack algorithm: a key hits iff it was seen before
+        and fewer than ``depth`` distinct other keys were seen since.
+        """
+        n = len(keys)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        first, local, distinct = groups or group_keys(keys)
+        reg = self._reg
+        held = [key in reg for key in distinct]
+        if len(reg) + len(distinct) - sum(held) <= self.depth:
+            hit = self._probe_without_evictions(first, local, distinct, held)
+        else:
+            hit = self._probe_with_evictions(local, distinct)
+        hits = np.count_nonzero(hit)
+        self.hits += hits
+        self.misses += n - hits
+        return hit
+
+    def _probe_without_evictions(self, first, local, distinct, held):
+        """Every key fits: a key hits iff it was seen before, and the
+        batch's keys move to the newest end in order of last use."""
+        rows = np.arange(len(local))
+        hit = np.array(held)[local] | (rows != first[local])
+        last = np.zeros(len(distinct), dtype=np.int64)
+        np.maximum.at(last, local, rows)
+        reg = self._reg
+        for key, seen in zip(distinct, held):
+            if seen:
+                del reg[key]
+        for u in np.argsort(last).tolist():
+            reg[distinct[u]] = None
+        return hit
+
+    def _probe_with_evictions(self, local, distinct):
+        """The general case.  The register is replayed ahead of the batch
+        (oldest first), which rebuilds exactly its state."""
+        names = list(distinct)
+        number = dict(zip(names, range(len(names))))
+        for key in self._reg:
+            if key not in number:
+                number[key] = len(names)
+                names.append(key)
+        held = len(self._reg)
+        seq = np.concatenate([
+            np.array([number[key] for key in self._reg], dtype=np.int64),
+            local])
+        m = len(seq)
+        # Previous and next occurrence of every position's key: its
+        # neighbours among the positions of equal keys, in order.
+        order = np.argsort(seq, kind="stable")
+        same = seq[order[1:]] == seq[order[:-1]]
+        later, earlier = order[1:][same], order[:-1][same]
+        prev = np.full(m, -1, dtype=np.int64)
+        prev[later] = earlier
+        nxt = np.full(m, m, dtype=np.int64)
+        nxt[earlier] = later
+        pos = np.arange(held, m)
+        last = prev[held:]
+        hit = last >= 0
+        # A window (last, pos) shorter than the register cannot hold
+        # ``depth`` distinct keys.  For the rest, count the positions in
+        # the ``span`` before ``pos`` that are their key's latest one; the
+        # span doubles until every row is decided.
+        todo = np.flatnonzero(hit & (pos - last - 1 >= self.depth))
+        span = 2 * self.depth
+        while todo.size:
+            at, since = pos[todo], last[todo]
+            # window[s] holds nxt over positions s - span .. s - 1.
+            window = sliding_window_view(
+                np.concatenate([np.full(span, -1), nxt]), span)
+            newest = ((window[at] >= at[:, None])
+                      & (np.arange(span) > (since - at + span)[:, None]))
+            seen = np.count_nonzero(newest, axis=1)
+            done = (seen >= self.depth) | (at - since - 1 <= span)
+            hit[todo[done]] = seen[done] < self.depth
+            todo = todo[~done]
+            span *= 2
+        # The register ends as the ``depth`` most recently seen keys: the
+        # last position of each key, newest last.
+        latest = np.sort(order[np.append(~same, True)])[-self.depth:]
+        self._reg = dict.fromkeys(names[u] for u in seq[latest].tolist())
+        return hit
 
     @property
     def resident(self) -> list[bytes]:

@@ -218,6 +218,9 @@ class RoundRobinArbiter:
         self._order: list[int] = []
         self._next = 0
         self._pumping = False
+        #: Unregistered flows that still have queued items; each leaves
+        #: the rotation once it drains.
+        self._closing: set[int] = set()
 
     def register_flow(self, flow_id: int) -> None:
         if flow_id in self._flows:
@@ -225,12 +228,38 @@ class RoundRobinArbiter:
         self._flows[flow_id] = deque()
         self._order.append(flow_id)
 
+    def unregister_flow(self, flow_id: int) -> None:
+        """Take ``flow_id`` out of the rotation (once its queue drains).
+
+        An idle flow is only ever skipped by :meth:`_grant_next`, so
+        dropping it leaves the grant order of the others unchanged.
+        """
+        if flow_id not in self._flows or flow_id in self._closing:
+            raise SimulationError(f"unknown flow {flow_id}")
+        if self._flows[flow_id]:
+            self._closing.add(flow_id)
+        else:
+            self._drop(self._order.index(flow_id))
+
+    def _drop(self, index: int) -> None:
+        """Remove the flow at rotation ``index``; the scan position keeps
+        pointing at the same successor flow."""
+        del self._flows[self._order.pop(index)]
+        if index < self._next:
+            self._next -= 1
+        self._next = self._next % len(self._order) if self._order else 0
+
+    @property
+    def flows(self) -> int:
+        """Flows in the rotation (including ones still draining)."""
+        return len(self._order)
+
     def submit(self, flow_id: int, nbytes: int, extra_ns: float = 0.0) -> Event:
         """Queue ``nbytes`` for ``flow_id``; event fires when transferred.
 
         ``extra_ns`` is forwarded to the pipe as fixed per-item occupancy.
         """
-        if flow_id not in self._flows:
+        if flow_id not in self._flows or flow_id in self._closing:
             raise SimulationError(f"unknown flow {flow_id}")
         done = self.sim.event()
         self._flows[flow_id].append((nbytes, extra_ns, done))
@@ -258,9 +287,14 @@ class RoundRobinArbiter:
         """Pick the next pending item in round-robin flow order."""
         n = len(self._order)
         for i in range(n):
-            flow_id = self._order[(self._next + i) % n]
+            index = (self._next + i) % n
+            flow_id = self._order[index]
             queue = self._flows[flow_id]
             if queue:
-                self._next = (self._next + i + 1) % n
-                return queue.popleft()
+                self._next = (index + 1) % n
+                item = queue.popleft()
+                if not queue and flow_id in self._closing:
+                    self._closing.discard(flow_id)
+                    self._drop(index)
+                return item
         return None

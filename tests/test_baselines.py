@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.cpu_model import CostBreakdown, CpuCostModel
-from repro.baselines.hashmap import SoftwareHashMap
 from repro.baselines.lcpu import LcpuBaseline
 from repro.baselines.rcpu import RcpuBaseline
 from repro.baselines.rnic import RnicBaseline
 from repro.common import calibration as cal
 from repro.common.config import CpuConfig
-from repro.common.errors import ConfigurationError, OperatorError
+from repro.common.errors import ConfigurationError
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.encryption_op import encrypt_table_image
 from repro.workloads.generator import (
@@ -21,53 +20,6 @@ from repro.workloads.generator import (
 )
 
 KB = 1024
-
-
-# --- software hash map ----------------------------------------------------------
-
-def test_hashmap_put_get():
-    m = SoftwareHashMap()
-    assert m.put(b"a", 1)
-    assert not m.put(b"a", 2)  # update, not new
-    assert m.get(b"a") == 2
-    assert b"a" in m and b"b" not in m
-    assert len(m) == 1
-
-
-def test_hashmap_grows():
-    m = SoftwareHashMap(initial_slots=16)
-    for i in range(100):
-        m.put(f"key{i}".encode(), i)
-    assert len(m) == 100
-    assert m.resizes >= 3
-    assert m.rehashed_entries > 0
-    for i in range(100):
-        assert m.get(f"key{i}".encode()) == i
-
-
-def test_hashmap_items():
-    m = SoftwareHashMap()
-    m.put(b"x", 1)
-    m.put(b"y", 2)
-    assert dict(m.items()) == {b"x": 1, b"y": 2}
-
-
-def test_hashmap_validates_slots():
-    with pytest.raises(OperatorError):
-        SoftwareHashMap(initial_slots=12)  # not power of two
-
-
-def test_hashmap_matches_dict_oracle():
-    import random
-    rng = random.Random(42)
-    m = SoftwareHashMap()
-    oracle = {}
-    for _ in range(500):
-        k = f"k{rng.randrange(100)}".encode()
-        v = rng.randrange(1000)
-        m.put(k, v)
-        oracle[k] = v
-    assert dict(m.items()) == oracle
 
 
 # --- cost model --------------------------------------------------------------------

@@ -61,6 +61,24 @@ def test_open_close_connection():
     assert node.free_regions == SMALL_CONFIG.operator_stack.regions
 
 
+def test_closed_connections_leave_the_downlink_arbiter():
+    """Each open/close cycle used to leave its QP's flow in the arbiter,
+    so every grant scanned every flow ever opened."""
+    sim = Simulator()
+    node = FarviewNode(sim, SMALL_CONFIG)
+    wl = selection_workload(256, 1.0)
+    keeper = FarviewClient(node)
+    keeper.open_connection()
+    for _ in range(5):
+        client = FarviewClient(node)
+        client.open_connection()
+        table = upload(client, "T", wl.schema, wl.rows)
+        result, _ = client.far_view(table, select_star(wl.predicate))
+        assert len(result.rows()) == 256
+        client.close_connection()
+    assert node.link.down_arbiter.flows == len(node.connections) == 1
+
+
 def test_double_open_rejected(client):
     with pytest.raises(ConnectionError_):
         client.open_connection()

@@ -164,6 +164,30 @@ def test_recycled_pages_are_scrubbed(mmu):
     assert mmu.peek(2, fresh, 128) == bytes(128)
 
 
+@pytest.mark.parametrize("channels", [1, 2, 4])
+def test_recycled_page_is_scrubbed_up_to_its_last_written_byte(sim, channels):
+    """Reuse clears only the prefix writes dirtied; that prefix must reach
+    the page's last byte when the last byte was written."""
+    config = MemoryConfig(channels=channels, channel_capacity=1 * MB,
+                          page_size=64 * KB)
+    mmu = Mmu(sim, config)
+    mmu.create_domain(1)
+    page = config.page_size
+    vaddr = mmu.alloc(1, page)
+    mmu.poke(1, vaddr + page - 1, b"\xff")
+    mmu.poke(1, vaddr + 100, b"\x01" * 3)
+    mmu.free(1, vaddr)
+    mmu.create_domain(2)
+    fresh = mmu.alloc(2, 192)  # a small segment reusing the dirty page
+    assert mmu.peek(2, fresh, page) == bytes(page)
+    # A page nothing wrote to is handed out without a scrub.
+    other = mmu.alloc(2, page)
+    assert mmu._dirty == {}
+    mmu.poke(2, other, b"x")
+    assert list(mmu._dirty.values()) == [config.stripe_unit if channels > 1
+                                         else 1]
+
+
 def test_read_beyond_mapping_faults(mmu):
     mmu.alloc(1, 64)
     page = mmu.config.page_size

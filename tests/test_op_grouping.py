@@ -324,3 +324,270 @@ def test_groupby_matches_python_dict_oracle(rows):
         s, c = expected.get(k, (0.0, 0))
         expected[k] = (s + v, c + 1)
     assert got == expected
+
+
+# --- batched operators vs a scalar replay ------------------------------------------
+#
+# The operators and the client kernels fold whole batches with numpy.  The
+# replay below is the row-at-a-time model they must match bit for bit:
+# ``ShiftRegisterLru.lookup_or_insert`` per key, ``Accumulator.update`` per
+# row, one ``CuckooHashTable.put`` per new key, and per-element assignment
+# of the results.
+
+from hypothesis import example  # noqa: E402
+
+from repro.baselines.sw_ops import (  # noqa: E402
+    software_distinct,
+    software_groupby,
+)
+from repro.common.records import Column, Schema  # noqa: E402
+from repro.operators.cuckoo import CuckooHashTable  # noqa: E402
+from repro.operators.lru_cache import ShiftRegisterLru  # noqa: E402
+
+REPLAY_SCHEMA = Schema([Column("k", "int64"), Column("f", "float64"),
+                        Column("s", "char", 3), Column("v", "float64"),
+                        Column("w", "int64"), Column("u", "uint64")])
+KEY_SETS = (["k"], ["f"], ["s"], ["k", "f"], ["f", "s", "k"])
+SPECIAL_FLOATS = (float("nan"), -float("nan"), -0.0, 0.0, float("inf"),
+                  -float("inf"), 0.1, 0.2, 1 / 3, -7.5, 1e308, -1e308)
+BIG_INTS = (2**53 + 1, 2**62, -(2**62), 2**63 - 1, -(2**63))
+
+replay_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+replay_rows = st.lists(st.tuples(
+    st.integers(-3, 3), st.sampled_from(SPECIAL_FLOATS),
+    st.sampled_from([b"", b"a", b"ab", b"abc"]), replay_floats,
+    st.one_of(st.sampled_from(BIG_INTS), st.integers(-1000, 1000)),
+    st.one_of(st.sampled_from([2**64 - 1, 2**63, 2**53 + 1]),
+              st.integers(0, 1000))), min_size=1, max_size=80)
+replay_specs = st.lists(st.one_of(st.just(("count", "*")), st.tuples(
+    st.sampled_from(["count", "sum", "min", "max", "avg"]),
+    st.sampled_from(["v", "w", "u", "k", "f"]))), min_size=1, max_size=4)
+replay_tables = st.fixed_dictionaries({
+    "ways": st.integers(1, 4), "slots_per_way": st.sampled_from([2, 4, 16_384]),
+    "max_kicks": st.integers(1, 4), "lru_depth_per_way": st.integers(1, 4)})
+
+
+def _replay_specs(pairs):
+    return [AggregateSpec(func, column, alias=f"x{i}")
+            for i, (func, column) in enumerate(pairs)]
+
+
+def _replay_batch(rows):
+    batch = REPLAY_SCHEMA.empty(len(rows))
+    for name, values in zip(REPLAY_SCHEMA.names, zip(*rows)):
+        batch[name] = np.array(values, dtype=batch[name].dtype)
+    return batch
+
+
+def _value_columns(specs):
+    return sorted({s.column for s in specs
+                   if not (s.func == "count" and s.column == "*")})
+
+
+def _scalar_images(batch, key_schema):
+    keys = key_schema.empty(len(batch))
+    for name in key_schema.names:
+        keys[name] = batch[name]
+    raw = key_schema.to_bytes(keys)
+    width = key_schema.row_width
+    return [raw[i * width:(i + 1) * width] for i in range(len(batch))]
+
+
+def _scalar_rows(out_schema, key_schema, groups, specs, value_columns):
+    """Per-element assignment of each group's results, as a row loop."""
+    out = out_schema.empty(len(groups))
+    for i, (key, acc) in enumerate(groups):
+        key_row = key_schema.from_bytes(key)
+        for name in key_schema.names:
+            out[name][i] = key_row[name][0]
+        for spec in specs:
+            idx = (value_columns.index(spec.column)
+                   if spec.column in value_columns else 0)
+            out[spec.alias][i] = acc.result(spec, idx)
+    return out
+
+
+def _outcome(fn):
+    """``fn()``'s value, or the type of what it raised."""
+    try:
+        return fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class ScalarGroupBy:
+    """GROUP BY one row at a time (the replay model)."""
+
+    def __init__(self, key_columns, specs, ways, slots_per_way, max_kicks,
+                 lru_depth_per_way):
+        self.key_schema = REPLAY_SCHEMA.project(key_columns)
+        self.specs = specs
+        self.value_columns = _value_columns(specs)
+        self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
+        self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
+        self.queue, self.resident, self.overflow = [], {}, {}
+
+    def process(self, batch):
+        values = [tuple(float(batch[c][i]) for c in self.value_columns)
+                  for i in range(len(batch))]
+        for key, row in zip(_scalar_images(batch, self.key_schema), values):
+            self.lru.lookup_or_insert(key)
+            acc = self.overflow.get(key) or self.resident.get(key)
+            if acc is None:
+                acc = self.resident[key] = Accumulator(len(row))
+                self.queue.append(key)
+                if not self.table.put(key, acc):
+                    for evicted, evicted_acc in self.table.drain_overflow():
+                        self.overflow[evicted] = evicted_acc
+                        self.resident.pop(evicted, None)
+            acc.update(row)
+
+    def flush(self, out_schema):
+        groups = [(k, self.resident[k]) for k in self.queue
+                  if k in self.resident]
+        return _scalar_rows(out_schema, self.key_schema, groups, self.specs,
+                            self.value_columns)
+
+
+class ScalarDistinct:
+    """DISTINCT one row at a time (the replay model)."""
+
+    def __init__(self, key_columns, ways, slots_per_way, max_kicks,
+                 lru_depth_per_way):
+        self.key_schema = REPLAY_SCHEMA.project(key_columns)
+        self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
+        self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
+        self.resident = set()
+        self.dropped = self.overflowed = 0
+
+    def process(self, batch):
+        keep = np.zeros(len(batch), dtype=bool)
+        for i, key in enumerate(_scalar_images(batch, self.key_schema)):
+            if self.lru.lookup_or_insert(key) or key in self.resident:
+                self.dropped += 1
+                continue
+            keep[i] = True
+            self.resident.add(key)
+            if not self.table.put(key, True):
+                self.overflowed += 1
+                self.resident.discard(self.table.overflow[-1][0])
+        return batch[keep]
+
+
+def _map_resizes(num_keys):
+    """Growths of a 16-slot map doubling at 7/8 load, one insert at a time."""
+    slots, resizes = 16, 0
+    for size in range(1, num_keys + 1):
+        if size * 8 >= slots * 7:
+            slots *= 2
+            resizes += 1
+    return resizes
+
+
+def _scalar_software_groupby(rows, key_columns, specs):
+    key_schema = REPLAY_SCHEMA.project(key_columns)
+    value_columns = _value_columns(specs)
+    groups = {}
+    for i, key in enumerate(_scalar_images(rows, key_schema)):
+        groups.setdefault(key, Accumulator(len(value_columns))).update(
+            tuple(float(rows[c][i]) for c in value_columns))
+    out_schema = Schema([REPLAY_SCHEMA.column(k) for k in key_columns]
+                        + [s.output_column(REPLAY_SCHEMA) for s in specs])
+    return (_scalar_rows(out_schema, key_schema, list(groups.items()), specs,
+                         value_columns).tobytes(),
+            len(groups), _map_resizes(len(groups)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KEY_SETS), replay_specs, replay_tables,
+       st.lists(replay_rows, min_size=1, max_size=4))
+@example(["k"], [("min", "v"), ("max", "v"), ("sum", "v")],
+         {"ways": 1, "slots_per_way": 16_384, "max_kicks": 1,
+          "lru_depth_per_way": 1},
+         [[(1, 0.0, b"", float("nan"), 0, 0), (1, 0.0, b"", 2.0, 0, 0),
+           (2, 0.0, b"", -0.0, 0, 0), (2, 0.0, b"", 0.0, 0, 0),
+           (3, 0.0, b"", float("inf"), 0, 0),
+           (3, 0.0, b"", -float("inf"), 0, 0),
+           (3, 0.0, b"", float("nan"), 0, 0)]
+         + [(k, 0.0, b"", v, 0, 0) for k, seed in ((4, 1.0), (5, -1.0))
+            for v in (seed, 0.0, -0.0)]
+         + [(k, 0.0, b"", v, 0, 0) for k, seed in ((6, 1.0), (7, -1.0))
+            for v in (seed, -0.0, 0.0)],
+          [(2, 0.0, b"", 0.0, 0, 0), (2, 0.0, b"", -0.0, 0, 0),
+           (1, 0.0, b"", -1.0, 0, 0)]])
+@example(["k"], [("max", "v"), ("min", "w"), ("max", "u")],
+         {"ways": 4, "slots_per_way": 16_384, "max_kicks": 4,
+          "lru_depth_per_way": 4},
+         [[(1, 0.0, b"", 1.0, 5, 7), (1, 0.0, b"", 5.0, -2, 9),
+           (1, 0.0, b"", 3.0, 4, 1)], [(1, 0.0, b"", 9.0, -9, 2**63)]])
+@example(["f"], [("sum", "w"), ("min", "w"), ("avg", "u")],
+         {"ways": 1, "slots_per_way": 2, "max_kicks": 1,
+          "lru_depth_per_way": 1},
+         [[(0, x, b"", 0.0, 2**62, 2**63) for x in SPECIAL_FLOATS]] * 2)
+def test_batched_grouping_replays_the_scalar_model(keys, spec_pairs, table,
+                                                    batches):
+    specs = _replay_specs(spec_pairs)
+    batches = [_replay_batch(rows) for rows in batches]
+    value_columns = _value_columns(specs)
+
+    op = GroupByOperator(keys, specs, **table)
+    out_schema = op.bind(REPLAY_SCHEMA)
+    ref = ScalarGroupBy(keys, specs, **table)
+    for batch in batches:
+        op.process(batch)
+        ref.process(batch)
+    assert (_outcome(lambda: op.flush().tobytes())
+            == _outcome(lambda: ref.flush(out_schema).tobytes()))
+    assert op.flush_cycles() == 4 * len(ref.queue)
+    assert op.table.kicks == ref.table.kicks
+    assert (op.lru.hits, op.lru.misses) == (ref.lru.hits, ref.lru.misses)
+    assert op.lru.resident == ref.lru.resident
+    assert op.num_groups == len(ref.table) + len(ref.overflow)
+    drained = op.drain_overflow_groups()
+    assert list(drained) == list(ref.overflow)
+
+    def overflow_rows(groups):
+        return _scalar_rows(out_schema, ref.key_schema, list(groups.items()),
+                            specs, value_columns).tobytes()
+    assert (_outcome(lambda: overflow_rows(drained))
+            == _outcome(lambda: overflow_rows(ref.overflow)))
+    assert op.drain_overflow_groups() == {}
+
+    dop = DistinctOperator(keys, **table)
+    dop.bind(REPLAY_SCHEMA)
+    dref = ScalarDistinct(keys, **table)
+    for batch in batches:
+        assert dop.process(batch).tobytes() == dref.process(batch).tobytes()
+    assert dop.duplicates_dropped == dref.dropped
+    assert dop.overflow_count == dref.overflowed
+    assert dop.table.kicks == dref.table.kicks
+    assert (dop.lru.hits, dop.lru.misses) == (dref.lru.hits, dref.lru.misses)
+    assert dop.lru.resident == dref.lru.resident
+    assert dop.drain_overflow_keys() == [k for k, _ in dref.table.overflow]
+
+    rows = np.concatenate(batches)
+    shipped = software_distinct(rows, REPLAY_SCHEMA, keys)
+    images = _scalar_images(rows, REPLAY_SCHEMA.project(keys))
+    firsts = sorted({key: i for i, key in reversed(list(
+        enumerate(images)))}.values())
+    assert shipped.rows.tobytes() == rows[firsts].tobytes()
+    assert shipped.map_resizes == _map_resizes(len(firsts))
+
+    def shipped_groups():
+        out = software_groupby(rows, REPLAY_SCHEMA, keys, specs)
+        return out.rows.tobytes(), out.num_groups, out.map_resizes
+    assert (_outcome(shipped_groups)
+            == _outcome(lambda: _scalar_software_groupby(rows, keys, specs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8),
+       st.lists(st.lists(st.integers(0, 24), max_size=120), max_size=4))
+def test_probe_batch_replays_lookup_or_insert(depth, batches):
+    batched, scalar = ShiftRegisterLru(depth), ShiftRegisterLru(depth)
+    for keys in batches:
+        images = np.array(keys, dtype="<i8").view(np.dtype((np.void, 8)))
+        expected = [scalar.lookup_or_insert(k) for k in images.tolist()]
+        assert batched.probe_batch(images).tolist() == expected
+        assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
+        assert batched.resident == scalar.resident

@@ -11,7 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.baselines.sw_ops import software_join
+from repro.baselines.sw_ops import (
+    software_distinct,
+    software_groupby,
+    software_join,
+)
 from repro.common.config import FarviewConfig, MemoryConfig
 from repro.common.records import Column, Schema, default_schema
 from repro.common.units import MB
@@ -20,7 +24,11 @@ from repro.core.node import FarviewNode
 from repro.core.query import select_distinct
 from repro.core.table import FTable
 from repro.operators import hashing
+from repro.operators.aggregate import Accumulator, AggregateSpec
+from repro.operators.distinct import DistinctOperator
+from repro.operators.groupby import GroupByOperator
 from repro.operators.join import SmallTableJoinOperator
+from repro.operators.lru_cache import ShiftRegisterLru
 from repro.sim.engine import Simulator
 from repro.workloads.generator import distinct_workload
 
@@ -151,6 +159,44 @@ def test_join_build_and_probe_hash_each_batch_not_each_key(monkeypatch):
     # The counter is live: a scalar lookup is seen.
     assert (b"\0" * 8) in op.table
     assert calls
+
+
+def test_grouping_batches_make_no_per_row_calls(monkeypatch):
+    """A 256-row GROUP BY or DISTINCT batch probes the LRU once and never
+    steps an accumulator or the LRU row by row; nor do the client
+    kernels."""
+    calls = {"update": 0, "lookup_or_insert": 0, "probe_batch": 0}
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(Accumulator, "update")
+    counting(ShiftRegisterLru, "lookup_or_insert")
+    counting(ShiftRegisterLru, "probe_batch")
+    schema = default_schema()
+    batch = schema.empty(256)
+    batch["a"] = np.arange(256) % 40
+    batch["b"] = np.arange(256) * 0.25
+    aggregates = [AggregateSpec("sum", "b"), AggregateSpec("min", "b"),
+                  AggregateSpec("count", "*")]
+    for op in (GroupByOperator(["a"], aggregates), DistinctOperator(["a"])):
+        op.bind(schema)
+        op.process(batch)
+        assert calls == {"update": 0, "lookup_or_insert": 0,
+                         "probe_batch": 1}, type(op).__name__
+        calls["probe_batch"] = 0
+    assert len(software_groupby(batch, schema, ["a"], aggregates).rows) == 40
+    assert len(software_distinct(batch, schema, ["a"]).rows) == 40
+    assert calls == {"update": 0, "lookup_or_insert": 0, "probe_batch": 0}
+    # The counters are live: a scalar step is seen.
+    Accumulator(1).update((1.0,))
+    ShiftRegisterLru(2).lookup_or_insert(b"k")
+    assert calls == {"update": 1, "lookup_or_insert": 1, "probe_batch": 0}
 
 
 # -- zero-copy from_bytes contract --------------------------------------------

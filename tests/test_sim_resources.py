@@ -269,3 +269,50 @@ def test_arbiter_rejects_duplicate_flow():
     arb.register_flow(1)
     with pytest.raises(SimulationError):
         arb.register_flow(1)
+
+
+def _arbiter_run(unregister_idle: bool):
+    """Four flows, flow 2 idle; returns each completion (flow, time)."""
+    sim = Simulator()
+    arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
+    for flow in (1, 2, 3, 4):
+        arb.register_flow(flow)
+    if unregister_idle:
+        arb.unregister_flow(2)
+    completions = []
+
+    def client(flow, sizes):
+        for size in sizes:
+            yield arb.submit(flow, size)
+            completions.append((flow, sim.now))
+
+    for flow, sizes in ((1, [10, 5, 7]), (3, [4, 4]), (4, [9, 1, 1, 1])):
+        sim.process(client(flow, sizes))
+    sim.run()
+    return completions, arb
+
+
+def test_arbiter_unregistering_an_idle_flow_keeps_the_grant_order():
+    kept, _ = _arbiter_run(unregister_idle=False)
+    dropped, arb = _arbiter_run(unregister_idle=True)
+    assert dropped == kept
+    assert arb.flows == 3
+    with pytest.raises(SimulationError):
+        arb.submit(2, 10)
+
+
+def test_arbiter_unregistered_flow_leaves_once_drained():
+    sim = Simulator()
+    arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
+    arb.register_flow(1)
+    arb.register_flow(2)
+    pending = [arb.submit(1, 10), arb.submit(1, 10), arb.submit(2, 10)]
+    arb.unregister_flow(1)
+    assert arb.flows == 2
+    with pytest.raises(SimulationError):
+        arb.submit(1, 10)   # closed to new work while it drains
+    sim.run()
+    assert all(ev.triggered for ev in pending)
+    assert arb.flows == 1
+    with pytest.raises(SimulationError):
+        arb.unregister_flow(1)
