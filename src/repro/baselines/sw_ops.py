@@ -23,7 +23,7 @@ from ..operators.aggregate import (
     batch_accumulate,
 )
 from ..operators.crypto import AesCtr
-from ..operators.hashing import first_occurrences, key_images, sort_codes
+from ..operators.hashing import first_occurrences, key_images
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from ..operators.selection import Predicate
@@ -159,11 +159,12 @@ def software_join(rows: np.ndarray, schema: Schema,
             f"{probe_col.kind}({probe_col.width}), build "
             f"{build_key!r} is {build_col.kind}({build_col.width})")
     key_schema = build_schema.project([build_key])
+    key_dtype = np.dtype((np.void, key_schema.row_width))
 
     def images(table_rows: np.ndarray, column: str) -> np.ndarray:
         keys = key_schema.empty(len(table_rows))
         keys[build_key] = table_rows[column]
-        return sort_codes(key_images(keys, key_schema))
+        return np.frombuffer(key_schema.to_bytes(keys), dtype=key_dtype)
 
     build_image = images(build_rows, build_key)
     probe_image = images(rows, probe_key)
@@ -179,11 +180,7 @@ def software_join(rows: np.ndarray, schema: Schema,
         raise OperatorError(
             f"duplicate build key at row {int(order[repeats].min())}: the "
             f"small table must have unique join keys")
-    # Searching keys in sorted order lets each binary search start from
-    # the last hit.
-    probe_order = np.argsort(probe_image)
-    pos = np.empty(len(probe_image), dtype=np.intp)
-    pos[probe_order] = np.searchsorted(ordered, probe_image[probe_order])
+    pos = np.searchsorted(ordered, probe_image)
     if len(ordered):
         hit = ordered[np.minimum(pos, len(ordered) - 1)] == probe_image
     else:

@@ -793,7 +793,8 @@ class FarviewClient(_ViewEngineMixin):
         conn = self._require_conn()
         conn.qp.connected = False
         conn.closed = True
-        self.node.connections.pop(conn.qp.qp_id, None)
+        if self.node.connections.pop(conn.qp.qp_id, None) is not None:
+            self.node.link.unregister_flow(conn.qp.qp_id)
         self._conn = None
 
     def _require_conn(self) -> Connection:

@@ -110,9 +110,8 @@ class GroupByOperator(RowOperator):
             first, local, keys = groups
             gids = np.fromiter((self._gids.get(key, -1) for key in keys),
                                dtype=np.int64, count=len(keys))
-            new = np.flatnonzero(gids < 0)
+            new = np.flatnonzero(gids < 0)  # in insertion order
             if len(new):
-                new = new[np.argsort(first[new])]  # insertion order
                 self._insert(keys, new, images[first[new]], gids)
             self._states.fold(batch, local, gids, first)
         return self._out_schema.empty(0)

@@ -112,79 +112,28 @@ def key_images(rows: np.ndarray, key_schema: Schema) -> np.ndarray:
     return keys.view(np.dtype((np.void, key_schema.row_width)))
 
 
-def sort_codes(values: np.ndarray) -> np.ndarray:
-    """``values`` in a form numpy sorts fast, with the same equality:
-    8-byte key images as uint64 (the sort order differs; only equality
-    and a consistent order matter)."""
-    if values.dtype.kind == "V" and values.dtype.itemsize == 8:
-        return values.view("<u8")
-    return values
-
-
-def key_classes(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Equality classes of a 1-D array: ``(classes, k)``.
-
-    ``classes[i] == classes[j]`` iff ``values[i] == values[j]``; the ``k``
-    classes are numbered ``0..k-1`` in no promised order.  One unstable
-    sort: key images sort as their zero-padded 8-byte words, and images
-    wider than that by a fold of their words, checked against the images
-    so that a shared fold cannot merge two keys.
-    """
-    n = len(values)
-    codes = sort_codes(values)
-    folded = False
-    if codes.dtype.kind == "V":
-        words = _key_words(np.ascontiguousarray(values),
-                           values.dtype.itemsize)
-        codes = words[:, 0]
-        for j in range(1, words.shape[1]):
-            codes = codes * np.uint64(_M1) ^ words[:, j]
-            folded = True
-    order = np.argsort(codes)
-    ordered = codes[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    if folded:
-        ranked = values[order]
-        if ((ranked[1:] != ranked[:-1]) != starts[1:]).any():
-            # Two keys share a fold: sort the images themselves.
-            order = np.argsort(values)
-            ranked = values[order]
-            starts[1:] = ranked[1:] != ranked[:-1]
-    classes = np.empty(n, dtype=np.int64)
-    classes[order] = starts.cumsum() - 1
-    return classes, np.count_nonzero(starts)
-
-
 def first_occurrences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal elements of a 1-D array: ``(first, local)``.
 
     Distinct values are numbered ``0..k-1`` in order of first occurrence;
     ``first[u]`` is the index where value ``u`` first occurs (so ``first``
     ascends) and ``local[i]`` is the number of the value at index ``i``.
-    No per-element Python.
+    One ``np.unique`` (8-byte key images compare as uint64) and one
+    argsort; no per-element Python.
     """
-    first, classes = _first_of_classes(values)
+    if values.dtype.kind == "V" and values.dtype.itemsize == 8:
+        values = values.view("<u8")
+    _, first, inverse = np.unique(values, return_index=True,
+                                  return_inverse=True)
     rank = np.argsort(first)
     number = np.empty(len(rank), dtype=np.int64)
     number[rank] = np.arange(len(rank))
-    return first[rank], number[classes]
-
-
-def _first_of_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`key_classes`, and the first index of each class."""
-    n = len(values)
-    classes, k = key_classes(values)
-    first = np.full(k, n)
-    np.minimum.at(first, classes, np.arange(n))
-    return first, classes
+    return first[rank], number[inverse]
 
 
 class KeyGroups(NamedTuple):
-    """A batch of key images grouped by equality (:func:`group_keys`).
-
-    The distinct keys are numbered ``0..k-1`` in no promised order.
-    """
+    """A batch of key images grouped by equality (:func:`group_keys`),
+    the distinct keys numbered in order of first occurrence."""
 
     first: np.ndarray   # row of each distinct key's first occurrence
     local: np.ndarray   # each row's distinct-key number
@@ -194,7 +143,7 @@ class KeyGroups(NamedTuple):
 def group_keys(images: np.ndarray) -> KeyGroups:
     """Group a batch of key images, with the distinct keys as ``bytes``
     for the dict and set operations done once per key."""
-    first, local = _first_of_classes(images)
+    first, local = first_occurrences(images)
     return KeyGroups(first, local, images[first].tolist())
 
 

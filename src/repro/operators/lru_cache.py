@@ -92,36 +92,9 @@ class ShiftRegisterLru:
         n = len(keys)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        first, local, distinct = groups or group_keys(keys)
-        reg = self._reg
-        held = [key in reg for key in distinct]
-        if len(reg) + len(distinct) - sum(held) <= self.depth:
-            hit = self._probe_without_evictions(first, local, distinct, held)
-        else:
-            hit = self._probe_with_evictions(local, distinct)
-        hits = np.count_nonzero(hit)
-        self.hits += hits
-        self.misses += n - hits
-        return hit
-
-    def _probe_without_evictions(self, first, local, distinct, held):
-        """Every key fits: a key hits iff it was seen before, and the
-        batch's keys move to the newest end in order of last use."""
-        rows = np.arange(len(local))
-        hit = np.array(held)[local] | (rows != first[local])
-        last = np.zeros(len(distinct), dtype=np.int64)
-        np.maximum.at(last, local, rows)
-        reg = self._reg
-        for key, seen in zip(distinct, held):
-            if seen:
-                del reg[key]
-        for u in np.argsort(last).tolist():
-            reg[distinct[u]] = None
-        return hit
-
-    def _probe_with_evictions(self, local, distinct):
-        """The general case.  The register is replayed ahead of the batch
-        (oldest first), which rebuilds exactly its state."""
+        _, local, distinct = groups or group_keys(keys)
+        # The register is replayed ahead of the batch (oldest first),
+        # which rebuilds exactly its state.
         names = list(distinct)
         number = dict(zip(names, range(len(names))))
         for key in self._reg:
@@ -145,11 +118,13 @@ class ShiftRegisterLru:
         pos = np.arange(held, m)
         last = prev[held:]
         hit = last >= 0
-        # A window (last, pos) shorter than the register cannot hold
-        # ``depth`` distinct keys.  For the rest, count the positions in
-        # the ``span`` before ``pos`` that are their key's latest one; the
-        # span doubles until every row is decided.
-        todo = np.flatnonzero(hit & (pos - last - 1 >= self.depth))
+        # A window (last, pos) cannot hold ``depth`` distinct other keys
+        # if it is shorter than the register, or if the register and the
+        # batch do not hold that many keys.  For the rest, count the
+        # positions in the ``span`` before ``pos`` that are their key's
+        # latest one; the span doubles until every row is decided.
+        todo = np.flatnonzero(hit & (pos - last - 1 >= self.depth)
+                              & (len(names) > self.depth))
         span = 2 * self.depth
         while todo.size:
             at, since = pos[todo], last[todo]
@@ -167,6 +142,9 @@ class ShiftRegisterLru:
         # last position of each key, newest last.
         latest = np.sort(order[np.append(~same, True)])[-self.depth:]
         self._reg = dict.fromkeys(names[u] for u in seq[latest].tolist())
+        hits = np.count_nonzero(hit)
+        self.hits += hits
+        self.misses += n - hits
         return hit
 
     @property

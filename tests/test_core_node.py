@@ -77,6 +77,13 @@ def test_closed_connections_leave_the_downlink_arbiter():
         assert len(result.rows()) == 256
         client.close_connection()
     assert node.link.down_arbiter.flows == len(node.connections) == 1
+    for _ in range(3):
+        # The lease-release fallback when the close RPC cannot reach a
+        # crashed node.
+        client = FarviewClient(node)
+        client.open_connection()
+        client.abandon_connection()
+    assert node.link.down_arbiter.flows == len(node.connections) == 1
 
 
 def test_double_open_rejected(client):
