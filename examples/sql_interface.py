@@ -15,7 +15,7 @@ from repro.common.records import Column, Schema
 from repro.common.units import to_us
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
-from repro.core.sql import SqlSyntaxError, parse_sql
+from repro.core.compile import SqlSyntaxError, bind_select, parse_sql
 from repro.sim.engine import Simulator
 
 SCHEMA = Schema([
@@ -62,11 +62,11 @@ def main() -> None:
     print(f"orders: {len(rows)} rows x {SCHEMA.row_width} B\n")
 
     for statement in STATEMENTS:
-        parsed = parse_sql(statement)
         result, elapsed = client.sql(statement)
         out = result.rows()
         print(f"sql> {statement}")
-        print(f"     pipeline: {parsed.query.signature}")
+        head = bind_select(parse_sql(statement), client.catalog).query
+        print(f"     pipeline: {head.signature}")
         print(f"     {len(out)} rows, {result.report.bytes_shipped} bytes "
               f"shipped, {to_us(elapsed):.1f} us simulated")
         preview = out[:3].tolist()

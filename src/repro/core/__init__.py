@@ -42,8 +42,8 @@ from .query import (
     select_distinct,
     select_star,
 )
-from .sql import (ParsedQuery, ParsedWrite, SqlSyntaxError, like_to_regex,
-                  parse_sql)
+from .compile import (ParsedQuery, ParsedWrite, SqlSyntaxError, like_to_regex,
+                      parse_sql)
 from .table import FTable
 from .versioning import (
     DeltaSegment,

@@ -183,23 +183,13 @@ def _software_dedup(rows: np.ndarray) -> np.ndarray:
 def _merge_overflow_groups(rows: np.ndarray, schema: Schema,
                            report: ExecutionReport) -> np.ndarray:
     """Append overflowed groups (partially aggregated server-side)."""
-    if not report.overflow_groups:
-        return rows
-    # The overflow accumulators carry the same spec list as the pipeline's
-    # group-by; the report stores (key_bytes -> Accumulator).  Key layout is
-    # the group-key schema prefix of the output schema.
-    extra = schema.empty(len(report.overflow_groups))
-    agg_names = [n for n in schema.names]
-    # Group keys occupy the leading columns; remaining are aggregates.
-    meta = report.overflow_groups.get("__meta__")
-    items = [(k, v) for k, v in report.overflow_groups.items()
-             if k != "__meta__"]
-    if meta is None:
+    if report.overflow_layout is None:
         raise QueryError(
             "overflow groups present but merge metadata missing")
-    key_columns, specs, value_columns = meta
+    key_columns, specs, value_columns = report.overflow_layout
     key_schema = schema.project(key_columns)
-    for i, (key_bytes, acc) in enumerate(items):
+    extra = schema.empty(len(report.overflow_groups))
+    for i, (key_bytes, acc) in enumerate(report.overflow_groups.items()):
         key_row = key_schema.from_bytes(key_bytes)
         for name in key_columns:
             extra[name][i] = key_row[name][0]
@@ -207,7 +197,6 @@ def _merge_overflow_groups(rows: np.ndarray, schema: Schema,
             idx = (value_columns.index(spec.column)
                    if spec.column in value_columns else 0)
             extra[spec.alias][i] = acc.result(spec, idx)
-    del agg_names
     return np.concatenate([rows, extra])
 
 
@@ -229,12 +218,16 @@ class HybridQueryResult:
     schema: Schema
     merged: np.ndarray = field(repr=False)
     response_time_ns: float = 0.0
-    explain: Optional[ExplainPlan] = None
+    #: The :class:`~repro.core.planner.ExplainPlan` of a planned
+    #: execution, or the per-stage :class:`~repro.core.planner.DagPlan` of
+    #: a multi-stage SQL statement.
+    explain: Optional[object] = None
     #: The offloaded fragment's result, when a hybrid split ran one — a
     #: :class:`QueryResult` (single node) or :class:`ClusterQueryResult`
     #: (scatter-gather); ``None`` for pure ship executions.
     fragment_result: Optional[object] = None
     client_cost: Optional[CostBreakdown] = None
+    #: Bytes that crossed the wire to the client, summed over every stage.
     shipped_bytes: int = 0
 
     def rows(self) -> np.ndarray:
@@ -354,44 +347,10 @@ def canonical_result_bytes(result) -> bytes:
     return result.schema.to_bytes(rows)
 
 
-@dataclass
-class CompiledQueryResult:
-    """Result of a compiled (extended) SQL statement.
-
-    Mirrors :class:`HybridQueryResult`: ``rows()``/``data`` are the
-    final canonical rows after every stage of the lowered DAG (head
-    scan, join arms, client kernels); ``explain`` is the per-stage
-    :class:`~repro.core.planner.DagPlan`; ``response_time_ns`` includes
-    the modeled client compute time.
-    """
-
-    schema: Schema
-    merged: np.ndarray = field(repr=False)
-    response_time_ns: float = 0.0
-    explain: Optional[object] = None            # DagPlan
-    client_cost: Optional[CostBreakdown] = None
-    #: Bytes that crossed the wire to the client, summed over every
-    #: stage (head scan, build reads) — the compiled analogue of
-    #: :attr:`HybridQueryResult.shipped_bytes`.
-    shipped_bytes: int = 0
-
-    def rows(self) -> np.ndarray:
-        return self.merged
-
-    @property
-    def data(self) -> bytes:
-        """Canonical result bytes (single-node offload layout)."""
-        return self.schema.to_bytes(self.merged)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.merged)
-
-
 def _run_stage(client, handle, query: Query, placement: str,
                stats, dag, name: str):
     """Execute one offloadable stage of a compiled DAG and record its
-    placement decision.  ``placement="offload"`` pins the legacy path;
+    placement decision.  ``placement="offload"`` pins full offload;
     ship/auto price the stage independently through the planner — the
     per-stage composition IS the DAG generalization of
     :func:`~repro.core.planner.plan_placement`."""
@@ -415,8 +374,32 @@ def _run_stage(client, handle, query: Query, placement: str,
     return result
 
 
-def _execute_compiled(client, parsed, placement: str, stats):
-    """Execute an extended (compiled) SELECT on either client.
+def _execute_sql(client, statement: str, placement: str | None, stats,
+                 versioned_type):
+    """Parse and execute one SQL statement on either client.
+
+    Writes go to the client's write verbs (``versioned_type`` is the
+    table class that takes them).  A SELECT is bound once: a one-stage
+    statement runs its head Query as a single far-view verb, anything
+    else through :func:`_execute_compiled`.  Placement precedence for
+    reads: the ``placement`` argument, then a ``/*+ placement(...) */``
+    hint, then full offload.
+    """
+    parsed = parse_sql(statement)
+    if isinstance(parsed, ParsedWrite):
+        table = client.catalog.lookup(parsed.table)
+        return _dispatch_sql_write(client, table, parsed, versioned_type)
+    placement = placement or parsed.placement or "offload"
+    bound = bind_select(parsed, client.catalog)
+    if bound.arms or bound.ops:
+        return _execute_compiled(client, bound, placement, stats)
+    if placement == "offload":
+        return client.far_view(bound.base, bound.query)
+    return client.far_view_planned(bound.base, bound.query, placement, stats)
+
+
+def _execute_compiled(client, bound, placement: str, stats):
+    """Execute a bound multi-stage SELECT on either client.
 
     Stage 0 runs the head :class:`~repro.core.query.Query`; each
     :class:`~repro.core.compile.BoundArm` reads its build side (raw, or
@@ -432,7 +415,7 @@ def _execute_compiled(client, parsed, placement: str, stats):
                                     software_sort)
     from ..operators.join import join_output_schema
     from .compile import (BoundAggregate, BoundDistinct, BoundEval,
-                          BoundFilter, BoundLimit, BoundSort, bind_select)
+                          BoundFilter, BoundLimit, BoundSort)
     from .cost_model import HASHMAP_GROWTH_THRESHOLD
     from .ir import eval_expr
     from .planner import DagPlan, StagePlan
@@ -444,7 +427,6 @@ def _execute_compiled(client, parsed, placement: str, stats):
         return getattr(stage_result, "shipped_bytes",
                        getattr(stage_result, "bytes_shipped", 0))
 
-    bound = bind_select(parsed, client.catalog)
     cpu = getattr(client, "_cpu", None) or client._clients[0]._cpu
     sim = client.sim
     start = sim.now
@@ -526,11 +508,10 @@ def _execute_compiled(client, parsed, placement: str, stats):
     sim.run_process(_client_compute(sim, cost.total_ns), "client-compute")
     elapsed = sim.now - start
     dag.actual_ns = elapsed
-    compiled = CompiledQueryResult(schema=schema, merged=rows,
-                                   response_time_ns=elapsed, explain=dag,
-                                   client_cost=cost,
-                                   shipped_bytes=shipped_total)
-    return compiled, elapsed
+    result = HybridQueryResult(schema=schema, merged=rows,
+                               response_time_ns=elapsed, explain=dag,
+                               client_cost=cost, shipped_bytes=shipped_total)
+    return result, elapsed
 
 
 class _ViewEngineMixin:
@@ -783,18 +764,14 @@ class FarviewClient(_ViewEngineMixin):
         """Drop the connection handle without a node round trip.
 
         For a lease holder whose node died mid-lease (fail-stop with
-        amnesia): the close RPC cannot reach the node, and the node-side
-        state is gone with the crashed incarnation anyway.  Clears the
-        client-side handle — and the node's stale connection entry, so a
-        recovered node does not resurrect it — keeping lease-manager
+        amnesia): the close RPC cannot reach the node.  Clears the
+        client-side handle and tears down the node's state for the
+        connection exactly as a close does, so a recovered node gets its
+        region and protection domain back, keeping lease-manager
         accounting exact even when :meth:`close_connection` raises a
         :class:`~repro.common.errors.FaultError`.
         """
-        conn = self._require_conn()
-        conn.qp.connected = False
-        conn.closed = True
-        if self.node.connections.pop(conn.qp.qp_id, None) is not None:
-            self.node.link.unregister_flow(conn.qp.qp_id)
+        self.node.drop_connection(self._require_conn())
         self._conn = None
 
     def _require_conn(self) -> Connection:
@@ -958,7 +935,7 @@ class FarviewClient(_ViewEngineMixin):
                            report: ExecutionReport) -> None:
         if report.overflow_groups:
             query = compiled.query
-            report.overflow_groups["__meta__"] = (
+            report.overflow_layout = (
                 list(query.group_by or ()),
                 list(query.aggregates),
                 sorted({s.column for s in query.aggregates
@@ -1500,27 +1477,8 @@ class FarviewClient(_ViewEngineMixin):
         a ``/*+ placement(...) */`` hint, then full offload.  Returns
         ``(result, elapsed_ns)``.
         """
-        from .sql import ParsedWrite, parse_sql, resolve_join_query
-
-        parsed = parse_sql(statement)
-        table = self.catalog.lookup(parsed.table)
-        if isinstance(parsed, ParsedWrite):
-            return self._execute_write(table, parsed)
-        if getattr(parsed, "extended", False):
-            placement = placement or parsed.placement or "offload"
-            return _execute_compiled(self, parsed, placement, stats)
-        query = parsed.query
-        if parsed.join is not None:
-            build = self.catalog.lookup(parsed.join.table)
-            query = resolve_join_query(parsed, table.schema, build)
-        placement = placement or parsed.placement or "offload"
-        if placement == "offload":
-            return self.far_view(table, query)
-        return self.far_view_planned(table, query, placement, stats)
-
-    def _execute_write(self, table, parsed):
-        """Dispatch a parsed INSERT/UPDATE/DELETE to the write verbs."""
-        return _dispatch_sql_write(self, table, parsed, VersionedTable)
+        return _execute_sql(self, statement, placement, stats,
+                            VersionedTable)
 
 
 @dataclass
@@ -2691,20 +2649,20 @@ class ClusterClient(_ViewEngineMixin):
                 f"every shard of {sharded.name!r} is unavailable")
         parts = [r.rows() for r in survivors]
         stacked = np.concatenate(parts)
+        joined = query.post_join_schema(sharded.schema)
         if plan.mode == "group":
             assert query.group_by is not None
             merged = merge_group_rows(stacked, survivors[0].schema,
-                                      sharded.schema, list(query.group_by),
+                                      joined, list(query.group_by),
                                       plan.shard_specs, plan.partial_plans)
             schema = group_output_schema(
-                sharded.schema, list(query.group_by),
+                joined, list(query.group_by),
                 [p.spec for p in plan.partial_plans])
         elif plan.mode == "aggregate":
-            merged = merge_aggregate_rows(stacked, sharded.schema,
-                                          plan.shard_specs,
+            merged = merge_aggregate_rows(stacked, joined, plan.shard_specs,
                                           plan.partial_plans)
             schema = aggregate_output_schema(
-                sharded.schema, [p.spec for p in plan.partial_plans])
+                joined, [p.spec for p in plan.partial_plans])
         elif plan.mode == "distinct":
             schema = survivors[0].schema
             merged = merge_distinct_rows(stacked, schema,
@@ -2909,21 +2867,5 @@ class ClusterClient(_ViewEngineMixin):
         two-phase epoch broadcast and return ``(new_epoch, elapsed_ns)``.
         Returns ``(result, elapsed_ns)``.
         """
-        from .sql import ParsedWrite, parse_sql, resolve_join_query
-
-        parsed = parse_sql(statement)
-        sharded = self.catalog.lookup(parsed.table)
-        if isinstance(parsed, ParsedWrite):
-            return _dispatch_sql_write(self, sharded, parsed,
-                                       VersionedShardedTable)
-        if getattr(parsed, "extended", False):
-            placement = placement or parsed.placement or "offload"
-            return _execute_compiled(self, parsed, placement, stats)
-        query = parsed.query
-        if parsed.join is not None:
-            build = self.catalog.lookup(parsed.join.table)
-            query = resolve_join_query(parsed, sharded.schema, build)
-        placement = placement or parsed.placement or "offload"
-        if placement == "offload":
-            return self.far_view(sharded, query)
-        return self.far_view_planned(sharded, query, placement, stats)
+        return _execute_sql(self, statement, placement, stats,
+                            VersionedShardedTable)

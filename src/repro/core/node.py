@@ -89,7 +89,12 @@ class ExecutionReport:
     rows_out: int = 0
     ingest_mode: str = "standard"
     overflow_keys: list = field(default_factory=list)
+    #: Overflowed GROUP BY groups, key bytes -> partial Accumulator.
     overflow_groups: dict = field(default_factory=dict)
+    #: How the client merges ``overflow_groups`` into the result: the
+    #: group key columns, the aggregate specs and the aggregated value
+    #: columns (set by the client that compiled the query).
+    overflow_layout: tuple | None = None
     reconfigured: bool = False
 
 
@@ -166,13 +171,21 @@ class FarviewNode:
 
     def close_connection(self, conn: Connection) -> None:
         conn.require_open()
-        self.regions.release(conn.region)
-        self.resources.undeploy(conn.region.index)
-        self.mmu.destroy_domain(conn.domain)
-        self.link.unregister_flow(conn.qp.qp_id)
+        self.drop_connection(conn)
+
+    def drop_connection(self, conn: Connection) -> None:
+        """Tear down ``conn``: free its dynamic region and deployment, its
+        protection domain (with the tables allocated in it) and its
+        downlink flow.  Needs no round trip, so it also serves a client
+        abandoning a connection to a crashed node; a connection the node
+        no longer holds is only marked closed."""
+        if self.connections.pop(conn.qp.qp_id, None) is not None:
+            self.regions.release(conn.region)
+            self.resources.undeploy(conn.region.index)
+            self.mmu.destroy_domain(conn.domain)
+            self.link.unregister_flow(conn.qp.qp_id)
         conn.qp.connected = False
         conn.closed = True
-        del self.connections[conn.qp.qp_id]
 
     # -- memory allocation (§4.2 allocTableMem / freeTableMem) ---------------------
     def alloc_table_mem(self, conn: Connection, table: FTable) -> int:

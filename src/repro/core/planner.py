@@ -528,7 +528,7 @@ class StagePlan:
 
 @dataclass
 class DagPlan:
-    """The placement decision record for a compiled (extended) statement.
+    """The placement decision record for a multi-stage SQL statement.
 
     Generalizes :class:`ExplainPlan` from a prefix split of one operator
     chain to per-stage decisions over the lowered DAG: the head scan and

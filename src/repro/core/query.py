@@ -19,6 +19,7 @@ from typing import Optional
 from ..common.errors import QueryError
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
+from ..operators.join import join_output_schema
 from ..operators.selection import Predicate
 
 
@@ -105,17 +106,19 @@ class Query:
                     "encrypt_output needs a 16-byte key and 12-byte nonce")
 
     # -- validation against a schema -------------------------------------------
-    def _post_join_names(self, schema: Schema) -> set[str]:
-        """Column names visible after the (optional) join stage."""
-        names = set(schema.names)
-        if self.join is not None:
-            for name in self.join.payload:
-                names.add(name if name not in names else f"build_{name}")
-        return names
+    def post_join_schema(self, schema: Schema) -> Schema:
+        """The rows' schema after the (optional) join stage: what the
+        projection, DISTINCT, GROUP BY and aggregates read."""
+        if self.join is None:
+            return schema
+        return join_output_schema(
+            schema, self.join.build_table.schema,  # type: ignore[attr-defined]
+            list(self.join.payload))
 
     def validate(self, schema: Schema) -> None:
         """Check all referenced columns exist and combinations make sense."""
-        visible = self._post_join_names(schema)
+        joined = self.post_join_schema(schema)
+        visible = set(joined.names)
         for name in self.projection or ():
             if name not in visible:
                 raise QueryError(
@@ -136,11 +139,11 @@ class Query:
                     f"regex column {self.regex.column!r} must be char, "
                     f"is {col.kind}")
         for name in self.distinct_columns or ():
-            schema.column(name)
+            joined.column(name)
         for name in self.group_by or ():
-            schema.column(name)
+            joined.column(name)
         for spec in self.aggregates:
-            spec.validate(schema)
+            spec.validate(joined)
         self._validate_projection_consistency(schema)
 
     def _validate_projection_consistency(self, schema: Schema) -> None:

@@ -86,6 +86,30 @@ def test_closed_connections_leave_the_downlink_arbiter():
     assert node.link.down_arbiter.flows == len(node.connections) == 1
 
 
+def test_abandoned_connections_release_their_node_state():
+    """Abandoning a connection on a crashed node returns its region, its
+    deployment and its protection domain (with the tables in it), like
+    a close: three crash cycles used to leave half the regions taken."""
+    node = FarviewNode(Simulator(), SMALL_CONFIG)
+    regions = node.free_regions
+    free_pages = node.mmu.allocator.free_pages
+    wl = selection_workload(256, 1.0)
+    for _ in range(3):
+        client = FarviewClient(node)
+        conn = client.open_connection()
+        table = upload(client, "T", wl.schema, wl.rows)
+        client.far_view(table, select_star(wl.predicate))
+        node.fail()
+        client.abandon_connection()
+        node.recover()
+        assert not node.mmu.has_domain(conn.domain)
+    assert node.free_regions == regions
+    assert node.mmu.allocator.free_pages == free_pages
+    assert node.resources.total() == FarviewNode(Simulator(), SMALL_CONFIG) \
+        .resources.total()
+    assert not node.connections
+
+
 def test_double_open_rejected(client):
     with pytest.raises(ConnectionError_):
         client.open_connection()
@@ -193,6 +217,28 @@ def test_groupby_matches_oracle(client):
     assert set(got) == set(expected)
     for k in expected:
         assert got[k] == pytest.approx(expected[k])
+
+
+def test_overflowed_groups_merge_without_a_spurious_row():
+    """Groups evicted from a 1x16-slot cuckoo table are merged client-side
+    into exactly the rows software_groupby computes (the merge metadata
+    once counted as one more overflowed group: 201 rows for 200 keys)."""
+    from repro.baselines.sw_ops import software_groupby
+
+    config = FarviewConfig(memory=SMALL_CONFIG.memory,
+                           operator_stack=OperatorStackConfig(
+                               cuckoo_tables=1, cuckoo_slots=16))
+    client = FarviewClient(FarviewNode(Simulator(), config))
+    client.open_connection()
+    schema, rows = groupby_workload(2048, 200)
+    table = upload(client, "G", schema, rows)
+    specs = [AggregateSpec("sum", "b"), AggregateSpec("count", "*")]
+    result, _ = client.group_by(table, ["a"], specs)
+    assert result.report.overflow_groups
+    expected = software_groupby(rows, schema, ["a"], specs).rows
+    assert sorted(result.rows().tolist()) == sorted(expected.tolist())
+    result, _ = client.sql("SELECT a, SUM(b), COUNT(*) FROM G GROUP BY a")
+    assert sorted(result.rows().tolist()) == sorted(expected.tolist())
 
 
 def test_standalone_aggregation(client):

@@ -3,11 +3,41 @@
 import numpy as np
 import pytest
 
-from repro.common.records import default_schema, string_schema
-from repro.core.sql import (ParsedWrite, SqlSyntaxError, like_to_regex,
-                            parse_sql)
+from repro.common.records import (Column, Schema, default_schema,
+                                  string_schema)
+from repro.core.compile import (ParsedWrite, SqlSyntaxError, bind_select,
+                                like_to_regex, parse_sql)
 from repro.operators.regex_engine import compile_pattern
 from repro.operators.selection import And, Compare, Not, Or
+
+
+class _Handle:
+    """A catalog-handle stand-in: binding only needs .name and .schema."""
+
+    def __init__(self, name, schema):
+        self.name, self.schema = name, schema
+
+
+class _Catalog:
+    def __init__(self, schemas):
+        self.schemas = schemas
+
+    def lookup(self, name):
+        return _Handle(name, self.schemas[name])
+
+
+CATALOG = _Catalog({
+    "S": Schema([Column("a", "int64"), Column("b", "float64"),
+                 Column("c", "float64")]),
+    "t": Schema([Column(n, "int64") for n in ("a", "b", "c", "id")]
+                + [Column("s", "char")]),
+    "T": Schema([Column("A", "int64")]),
+})
+
+
+def _head(statement, catalog=CATALOG):
+    """The head Query a SELECT binds to."""
+    return bind_select(parse_sql(statement), catalog).query
 
 
 # --- basic statements ---------------------------------------------------------
@@ -15,44 +45,44 @@ from repro.operators.selection import And, Compare, Not, Or
 def test_select_star():
     parsed = parse_sql("SELECT * FROM S")
     assert parsed.table == "S"
-    assert parsed.query.projection is None
-    assert parsed.query.predicate is None
+    query = bind_select(parsed, CATALOG).query
+    assert query.projection is None
+    assert query.predicate is None
 
 
 def test_select_columns():
-    parsed = parse_sql("SELECT a, b FROM t;")
-    assert parsed.query.projection == ("a", "b")
+    assert _head("SELECT a, b FROM t;").projection == ("a", "b")
 
 
 def test_table_qualified_columns_resolve():
     parsed = parse_sql("SELECT S.a FROM S WHERE S.c > 3.14;")
     assert parsed.table == "S"
-    assert parsed.query.projection == ("a",)
-    assert parsed.query.predicate == Compare("c", ">", 3.14)
+    query = bind_select(parsed, CATALOG).query
+    assert query.projection == ("a",)
+    assert query.predicate == Compare("c", ">", 3.14)
 
 
 def test_keywords_case_insensitive():
-    parsed = parse_sql("select A From T wHeRe A < 5")
-    assert parsed.query.predicate == Compare("A", "<", 5)
+    query = _head("select A From T wHeRe A < 5")
+    assert query.predicate == Compare("A", "<", 5)
 
 
 def test_paper_selection_query():
     """§6.4: SELECT * FROM S WHERE S.a < X AND S.b < Y."""
-    parsed = parse_sql("SELECT * FROM S WHERE S.a < 17 AND S.b < 0.5")
-    assert parsed.query.predicate == And(Compare("a", "<", 17),
-                                         Compare("b", "<", 0.5))
+    query = _head("SELECT * FROM S WHERE S.a < 17 AND S.b < 0.5")
+    assert query.predicate == And(Compare("a", "<", 17),
+                                  Compare("b", "<", 0.5))
 
 
 def test_distinct():
-    parsed = parse_sql("SELECT DISTINCT a FROM S")
-    assert parsed.query.distinct
-    assert parsed.query.projection == ("a",)
+    query = _head("SELECT DISTINCT a FROM S")
+    assert query.distinct
+    assert query.projection == ("a",)
 
 
 def test_group_by_sum():
     """§6.5: SELECT S.a, SUM(S.b) FROM S GROUP BY S.a."""
-    parsed = parse_sql("SELECT a, SUM(b) FROM S GROUP BY a")
-    q = parsed.query
+    q = _head("SELECT a, SUM(b) FROM S GROUP BY a")
     assert q.group_by == ("a",)
     assert len(q.aggregates) == 1
     assert q.aggregates[0].func == "sum"
@@ -60,53 +90,51 @@ def test_group_by_sum():
 
 
 def test_aggregates_with_aliases():
-    parsed = parse_sql(
-        "SELECT a, COUNT(*) AS n, AVG(b) AS mean FROM t GROUP BY a")
-    specs = parsed.query.aggregates
+    specs = _head(
+        "SELECT a, COUNT(*) AS n, AVG(b) AS mean FROM t GROUP BY a"
+    ).aggregates
     assert [s.alias for s in specs] == ["n", "mean"]
     assert specs[0].column == "*"
 
 
 def test_standalone_aggregate():
-    parsed = parse_sql("SELECT COUNT(*), MAX(a) FROM t")
-    assert parsed.query.group_by is None
-    assert len(parsed.query.aggregates) == 2
+    query = _head("SELECT COUNT(*), MAX(a) FROM t")
+    assert query.group_by is None
+    assert len(query.aggregates) == 2
 
 
 # --- WHERE expressions ------------------------------------------------------------
 
 def test_boolean_nesting():
-    parsed = parse_sql(
-        "SELECT * FROM t WHERE (a < 1 OR b > 2.0) AND NOT c = 3")
+    query = _head("SELECT * FROM t WHERE (a < 1 OR b > 2.0) AND NOT c = 3")
     expected = And(Or(Compare("a", "<", 1), Compare("b", ">", 2.0)),
                    Not(Compare("c", "==", 3)))
-    assert parsed.query.predicate == expected
+    assert query.predicate == expected
 
 
 def test_operator_spellings():
-    parsed = parse_sql("SELECT * FROM t WHERE a <> 1 AND b != 2 AND c = 3")
+    query = _head("SELECT * FROM t WHERE a <> 1 AND b != 2 AND c = 3")
     expected = And(And(Compare("a", "!=", 1), Compare("b", "!=", 2)),
                    Compare("c", "==", 3))
-    assert parsed.query.predicate == expected
+    assert query.predicate == expected
 
 
 def test_string_literal_with_escaped_quote():
-    parsed = parse_sql("SELECT * FROM t WHERE s = 'it''s'")
-    assert parsed.query.predicate == Compare("s", "==", "it's")
+    query = _head("SELECT * FROM t WHERE s = 'it''s'")
+    assert query.predicate == Compare("s", "==", "it's")
 
 
 def test_regexp_term():
-    parsed = parse_sql("SELECT * FROM t WHERE s REGEXP 'far(view|sight)'")
-    assert parsed.query.regex is not None
-    assert parsed.query.regex.pattern == "far(view|sight)"
-    assert parsed.query.predicate is None
+    query = _head("SELECT * FROM t WHERE s REGEXP 'far(view|sight)'")
+    assert query.regex is not None
+    assert query.regex.pattern == "far(view|sight)"
+    assert query.predicate is None
 
 
 def test_like_combined_with_predicate():
-    parsed = parse_sql(
-        "SELECT * FROM t WHERE id < 100 AND s LIKE '%farview%'")
-    assert parsed.query.predicate == Compare("id", "<", 100)
-    assert parsed.query.regex is not None
+    query = _head("SELECT * FROM t WHERE id < 100 AND s LIKE '%farview%'")
+    assert query.predicate == Compare("id", "<", 100)
+    assert query.regex is not None
 
 
 # --- LIKE translation ----------------------------------------------------------------
@@ -256,8 +284,8 @@ def test_delete_without_where():
 
 
 def test_negative_literal_in_select_predicate():
-    parsed = parse_sql("SELECT * FROM t WHERE a > -5")
-    assert parsed.query.predicate == Compare("a", ">", -5)
+    query = _head("SELECT * FROM t WHERE a > -5")
+    assert query.predicate == Compare("a", ">", -5)
 
 
 @pytest.mark.parametrize("bad", [
@@ -280,7 +308,6 @@ def test_write_syntax_errors(bad):
 # --- JOIN clause (the §7 small-table join) -------------------------------------
 
 def _schemas():
-    from repro.common.records import Column, Schema
     probe = Schema([Column("k", "int64"), Column("v", "float64"),
                     Column("rate", "int64")])
     build = Schema([Column("id", "int64"), Column("rate", "float64"),
@@ -288,40 +315,40 @@ def _schemas():
     return probe, build
 
 
-class _BuildHandle:
-    """A catalog-handle stand-in: resolve_join_query only needs .schema."""
+JOIN_CATALOG = _Catalog(dict(zip(("fact", "dim"), _schemas())))
 
-    def __init__(self, schema):
-        self.schema = schema
-        self.name = "dim"
+
+def _join_head(statement):
+    return _head(statement, JOIN_CATALOG)
 
 
 def test_join_clause_parses_qualified_on():
+    from repro.core.ir import Col, Join
+
     parsed = parse_sql(
         "SELECT fact.k, dim.rate FROM fact JOIN dim ON fact.k = dim.id")
     assert parsed.table == "fact"
-    assert parsed.join is not None
-    assert parsed.join.table == "dim"
-    assert parsed.join.left == ("fact", "k")
-    assert parsed.join.right == ("dim", "id")
-    assert parsed.join.select == (("fact", "k"), ("dim", "rate"))
-    assert not parsed.join.star
-    # The projection is left to resolution (build columns are unknown).
-    assert parsed.query.projection is None
+    join = parsed.ir.child
+    assert isinstance(join, Join)
+    assert join.table == "dim"
+    assert join.left == Col("k", "fact")
+    assert join.right == Col("id", "dim")
+    assert [item for item, _alias in parsed.ir.items] == [
+        Col("k", "fact"), Col("rate", "dim")]
+    assert not parsed.ir.star
 
 
 def test_inner_join_keyword_and_star():
+    from repro.core.ir import Join
+
     parsed = parse_sql("SELECT * FROM f INNER JOIN d ON f.a = d.b;")
-    assert parsed.join is not None and parsed.join.star
+    assert parsed.ir.star and isinstance(parsed.ir.child, Join)
 
 
 def test_join_resolution_splits_select_list():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql(
+    query = _join_head(
         "SELECT fact.k, dim.rate, fact.v FROM fact JOIN dim "
         "ON fact.k = dim.id WHERE fact.v < 2.5")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
     assert query.join.build_key == "id"
     assert query.join.probe_key == "k"
     assert query.join.payload == ("rate",)
@@ -332,46 +359,32 @@ def test_join_resolution_splits_select_list():
 
 
 def test_join_resolution_unqualified_and_swapped_on_sides():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql("SELECT k, zone FROM fact JOIN dim ON id = k")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
+    query = _join_head("SELECT k, zone FROM fact JOIN dim ON id = k")
     assert (query.join.build_key, query.join.probe_key) == ("id", "k")
     assert query.join.payload == ("zone",)
     assert query.projection == ("k", "zone")
 
 
 def test_join_resolution_build_key_select_maps_to_probe_key():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql(
+    query = _join_head(
         "SELECT dim.id, dim.zone FROM fact JOIN dim ON fact.k = dim.id")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
     assert query.projection == ("k", "zone")
     assert query.join.payload == ("zone",)
 
 
 def test_join_resolution_star_appends_non_key_build_columns():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql("SELECT * FROM fact JOIN dim ON fact.k = dim.id")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
+    query = _join_head("SELECT * FROM fact JOIN dim ON fact.k = dim.id")
     assert query.projection is None
     assert query.join.payload == ("rate", "zone")
 
 
 def test_join_resolution_semi_join_borrows_payload():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql("SELECT k, v FROM fact JOIN dim ON fact.k = dim.id")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
+    query = _join_head("SELECT k, v FROM fact JOIN dim ON fact.k = dim.id")
     assert query.projection == ("k", "v")     # payload projected away
     assert len(query.join.payload) == 1
 
 
 def test_join_resolution_errors():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
     for statement, message in [
         ("SELECT k FROM fact JOIN dim ON other.k = dim.id",
          "unknown table qualifier"),
@@ -382,9 +395,8 @@ def test_join_resolution_errors():
         ("SELECT fact.nope, dim.rate FROM fact JOIN dim "
          "ON fact.k = dim.id", "unknown column"),
     ]:
-        parsed = parse_sql(statement)
         with pytest.raises(SqlSyntaxError, match=message):
-            resolve_join_query(parsed, probe, _BuildHandle(build))
+            _join_head(statement)
 
 
 @pytest.mark.parametrize("bad", [
@@ -399,13 +411,12 @@ def test_join_syntax_errors(bad):
 
 
 def test_multi_join_parses_to_chained_stages():
-    """Multi-way joins are no longer a syntax error: they parse to an
-    extended statement whose IR chains one Join node per stage."""
+    """Multi-way joins are no longer a syntax error: they parse to an IR
+    that chains one Join node per stage."""
     from repro.core.ir import Join, Scan
 
     parsed = parse_sql(
         "SELECT a FROM f JOIN d ON a = b JOIN e ON c = k")
-    assert parsed.extended
     join2 = parsed.ir.child          # Project -> Join(e) -> Join(d) -> Scan
     join1 = join2.child
     assert isinstance(join2, Join) and join2.table == "e"
@@ -458,21 +469,10 @@ def test_golden_error_messages(statement, message):
 def test_expression_item_without_alias_rejected_at_bind_time():
     """``SELECT (a + 1) FROM t`` parses (the IR is valid) but binding
     demands a deterministic output name."""
-    from repro.core.compile import bind_select
-    from repro.common.records import Column, Schema
-
-    class _Handle:
-        def __init__(self, name, schema):
-            self.name, self.schema = name, schema
-
-    class _Catalog:
-        def lookup(self, name):
-            return _Handle(name, Schema([Column("a", "int64")]))
-
     parsed = parse_sql("SELECT (a + 1) FROM t ORDER BY a")
     with pytest.raises(SqlSyntaxError,
                        match="expression select items need an AS alias"):
-        bind_select(parsed, _Catalog())
+        bind_select(parsed, _Catalog({"t": Schema([Column("a", "int64")])}))
 
 
 def test_star_mixing_rejected_under_distinct_too():

@@ -35,7 +35,7 @@ from repro.core.faults import FaultInjector, RetryPolicy
 from repro.core.node import FarviewNode
 from repro.core.partition import PartitionSpec
 from repro.core.query import JoinSpec, Query, select_star
-from repro.core.sql import SqlSyntaxError
+from repro.core.compile import SqlSyntaxError
 from repro.core.table import FTable
 from repro.operators.selection import Compare
 from repro.sim.engine import SimulationError, Simulator

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sql_model import execute_model
@@ -138,9 +138,12 @@ def plain_selects(draw):
 @st.composite
 def aggregate_selects(draw):
     """Grouped / whole-table aggregation with optional HAVING and
-    ORDER BY over the output columns."""
-    group_names = draw(st.lists(st.sampled_from(INT_COLS), max_size=2,
-                                unique=True))
+    ORDER BY over the output columns, optionally over a join whose build
+    column ``v`` can be grouped on or aggregated."""
+    join = draw(st.booleans())
+    build_cols = ("v",) if join else ()
+    group_names = draw(st.lists(st.sampled_from(INT_COLS + build_cols),
+                                max_size=2, unique=True))
     aggs: list[AggCall] = []
     n_aggs = draw(st.integers(min_value=1, max_value=3))
     for i in range(n_aggs):
@@ -148,7 +151,7 @@ def aggregate_selects(draw):
         if func == "count" and draw(st.booleans()):
             arg = None
         elif draw(st.booleans()):
-            arg = Col(draw(st.sampled_from(NUM_COLS)))
+            arg = Col(draw(st.sampled_from(NUM_COLS + build_cols)))
         else:
             arg = draw(safe_arith)
         aggs.append(AggCall(func, arg, alias=f"g{i}"))
@@ -160,6 +163,8 @@ def aggregate_selects(draw):
                      Lit(draw(st.integers(min_value=0, max_value=20))))
     condition = draw(st.none() | conditions)
     rel = Scan("t")
+    if join:
+        rel = Join(rel, "d", Col("a"), Col("id"))
     if condition is not None:
         rel = Filter(rel, condition)
     rel = Aggregate(rel, tuple(Col(n) for n in group_names),
@@ -180,6 +185,14 @@ def aggregate_selects(draw):
 
 
 select_dags = st.one_of(plain_selects(), aggregate_selects())
+
+#: ``SELECT v, SUM(b) AS s FROM t JOIN d ON a = id GROUP BY v``: grouping
+#: on a build column reads the post-join schema.
+GROUP_ON_BUILD_COLUMN = Project(
+    Aggregate(Join(Scan("t"), "d", Col("a"), Col("id")), (Col("v"),),
+              (AggCall("sum", Col("b"), alias="s"),), None),
+    items=((Col("v"), None), (AggCall("sum", Col("b"), alias="s"), None)),
+    star=False)
 
 
 # -- properties ---------------------------------------------------------------
@@ -213,6 +226,7 @@ MODEL_TABLES = {"t": (T_SCHEMA, make_rows()), "d": (D_SCHEMA, make_dim())}
 
 @settings(max_examples=40, deadline=None)
 @given(select_dags)
+@example(GROUP_ON_BUILD_COLUMN)
 def test_execution_matches_model(rel):
     """The engine's bytes (offload and ship) equal the serial model's."""
     statement = render_sql(rel)
